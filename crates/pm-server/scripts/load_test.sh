@@ -11,6 +11,10 @@
 #     below the client count, clients absorb the retryable `Busy`
 #     rejection with backoff, and the final `stats` verb confirms the
 #     live-session count never outgrew the budget.
+#   * latency stays interactive — the client times every round trip (one
+#     write per request, Nagle off), prints p50/p99 per verb, and fails if
+#     the p99 `Run` round trip exceeds 38 ms, below the 40 ms delayed-ACK
+#     floor a Nagle-stalled transport pays on every request.
 #
 # Usage: scripts/load_test.sh [SESSIONS] [CLIENTS]
 set -euo pipefail

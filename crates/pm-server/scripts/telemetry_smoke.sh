@@ -9,8 +9,9 @@
 #     `name{labels} value` with a finite float value, and every histogram
 #     carries `_sum`, `_count` and a cumulative `le="+Inf"` bucket;
 #   * the required series exist: per-verb latency for the verbs served,
-#     transport byte counters, sweep timing, and the per-phase election
-#     telemetry harvested from the finished session.
+#     transport byte counters, sweep timing, core-lock wait and reply write
+#     time, and the per-phase election telemetry harvested from the
+#     finished session.
 #
 # Telemetry is wall-clock dependent, so this cannot be a golden diff like
 # the server smoke — structural validation is the contract instead.
@@ -46,6 +47,8 @@ required = {
     "pm_server_bytes_written_total",
     "pm_server_active_connections",
     "pm_server_sweep_duration_us",
+    "pm_server_core_lock_wait_us",
+    "pm_server_write_us",
     "pm_election_phase_wall_us",
     "pm_election_phase_rounds_total",
     "pm_election_phase_activations_total",
@@ -60,6 +63,9 @@ served = {
     for l in h["labels"]
 }
 assert ("verb", "submit") in served and ("verb", "run") in served, served
+for name in ("pm_server_core_lock_wait_us", "pm_server_write_us"):
+    observed = sum(h["count"] for h in snap["histograms"] if h["name"] == name)
+    assert observed > 0, f"{name} recorded nothing"
 
 parsed = 0
 for line in prom.splitlines():

@@ -25,8 +25,10 @@
 //! stdin/stdout (default) or TCP; `client` replays a `.jsonl` request
 //! script against freshly spawned `serve --stdio` children (restarting them
 //! at `!restart` directives) and prints the response transcript. `load`
-//! spawns its own TCP server and floods it from concurrent client threads
-//! — see `crates/pm-server/scripts/load_test.sh`. `regen` rewrites the
+//! spawns its own TCP server and floods it from concurrent client threads,
+//! printing client round-trip p50/p99 per verb and failing if the p99
+//! `Run` round trip exceeds 38 ms — see
+//! `crates/pm-server/scripts/load_test.sh`. `regen` rewrites the
 //! committed corpus and the smoke golden file from the built-in corpus (a
 //! dev tool; a test pins the committed files to the code).
 //!
@@ -57,13 +59,14 @@ use pm_scenarios::corpus::{self, FAULTS, SMOKE};
 use pm_scenarios::{
     report_json, run_suite, select, suite_tags, GeneratorSpec, ScenarioScript, ScenarioSpec,
 };
+use pm_server::telemetry::as_micros;
 use pm_server::{Request, Response, ServeOptions, ServerCore, ServerLimits};
-use pm_telemetry::{info, logging, trace, Level};
+use pm_telemetry::{info, logging, trace, Histogram, Level, Registry};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct Args {
     command: String,
@@ -678,28 +681,102 @@ fn cmd_client(args: &Args) -> Result<(), String> {
     pm_server::run_script(&command, &script, &mut stdout.lock())
 }
 
-/// One TCP protocol connection for the load generator.
-struct LoadConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+/// Client-side round-trip buckets for `load`, µs. The `Run` p99 gate is
+/// one of them, so the gate reads the histogram exactly.
+const LOAD_RTT_US_BOUNDS: &[u64] = &[
+    25, 50, 75, 100, 150, 200, 300, 400, 500, 750, 1_000, 1_500, 2_000, 3_000, 4_000, 5_000, 6_000,
+    7_000, 8_000, 10_000, 15_000, 20_000, 30_000, 38_000, 40_000, 60_000, 100_000, 1_000_000,
+];
+
+/// `load` fails when the p99 `Run` round trip exceeds this, µs. It sits
+/// below the 40 ms delayed-ACK floor, so a transport that lets Nagle hold
+/// back part of a reply fails the gate. A healthy server's p99 under
+/// `load_test.sh 2000 32` is CPU queueing behind the core lock: 5.2–9.5 ms
+/// (median 7.1 ms) on a 2-vCPU host.
+const LOAD_RUN_P99_BOUND_US: u64 = 38_000;
+
+/// The load generator's client-side round trips, one histogram per verb
+/// it sends.
+struct LoadLatency {
+    submit: Histogram,
+    run: Histogram,
+    cancel: Histogram,
 }
 
-impl LoadConn {
-    fn connect(addr: &str) -> Result<LoadConn, String> {
+impl LoadLatency {
+    fn new() -> LoadLatency {
+        let registry = Registry::new();
+        let verb =
+            |verb| registry.histogram_with("pm_load_rtt_us", &[("verb", verb)], LOAD_RTT_US_BOUNDS);
+        LoadLatency {
+            submit: verb("submit"),
+            run: verb("run"),
+            cancel: verb("cancel"),
+        }
+    }
+
+    /// The histogram `request`'s round trip is recorded in, if it is one of
+    /// the load verbs.
+    fn of(&self, request: &Request) -> Option<&Histogram> {
+        match request {
+            Request::Submit { .. } => Some(&self.submit),
+            Request::Run { .. } => Some(&self.run),
+            Request::Cancel { .. } => Some(&self.cancel),
+            _ => None,
+        }
+    }
+
+    /// `verb p50/p99` in milliseconds, for every verb.
+    fn summary(&self) -> String {
+        let ms = |h: &Histogram, q| h.quantile(q).map_or(f64::NAN, |us| us / 1_000.0);
+        [
+            ("submit", &self.submit),
+            ("run", &self.run),
+            ("cancel", &self.cancel),
+        ]
+        .iter()
+        .map(|(verb, h)| format!("{verb} {:.3}/{:.3}", ms(h, 0.5), ms(h, 0.99)))
+        .collect::<Vec<_>>()
+        .join(", ")
+    }
+}
+
+/// One TCP protocol connection for the load generator. Nagle is off and
+/// every request goes out in one write, so round trips measure the server
+/// rather than the client's own delayed-ACK stall.
+struct LoadConn<'a> {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+    /// Where the load verbs' round trips are recorded.
+    latency: &'a LoadLatency,
+}
+
+impl<'a> LoadConn<'a> {
+    fn connect(addr: &str, latency: &'a LoadLatency) -> Result<LoadConn<'a>, String> {
         let writer = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        writer
+            .set_nodelay(true)
+            .map_err(|e| format!("set TCP_NODELAY: {e}"))?;
         let reader = BufReader::new(
             writer
                 .try_clone()
                 .map_err(|e| format!("clone stream: {e}"))?,
         );
-        Ok(LoadConn { reader, writer })
+        Ok(LoadConn {
+            reader,
+            writer,
+            latency,
+        })
     }
 
     /// Sends one request and reads to its final response.
     fn request(&mut self, request: &Request) -> Result<Response, String> {
-        let line = serde_json::to_string(request).map_err(|e| format!("serialize: {e}"))?;
-        writeln!(self.writer, "{line}").map_err(|e| format!("send: {e}"))?;
-        self.writer.flush().map_err(|e| format!("flush: {e}"))?;
+        let mut line = serde_json::to_string(request).map_err(|e| format!("serialize: {e}"))?;
+        line.push('\n');
+        let sent = Instant::now();
+        self.writer
+            .write_all(line.as_bytes())
+            .map_err(|e| format!("send: {e}"))?;
         loop {
             let mut raw = String::new();
             let read = self
@@ -712,6 +789,9 @@ impl LoadConn {
             let response: Response = serde_json::from_str(raw.trim())
                 .map_err(|e| format!("unparseable response `{}`: {e}", raw.trim()))?;
             if response.is_final() {
+                if let Some(histogram) = self.latency.of(request) {
+                    histogram.observe(as_micros(sent.elapsed()));
+                }
                 return Ok(response);
             }
         }
@@ -774,13 +854,14 @@ fn cmd_load(args: &Args) -> Result<(), String> {
 
     let completed = std::sync::atomic::AtomicUsize::new(0);
     let failures = std::sync::Mutex::new(Vec::new());
-    let started = std::time::Instant::now();
+    let latency = LoadLatency::new();
+    let started = Instant::now();
     std::thread::scope(|scope| {
         for client in 0..clients {
-            let (addr, completed, failures) = (&addr, &completed, &failures);
+            let (addr, completed, failures, latency) = (&addr, &completed, &failures, &latency);
             scope.spawn(move || {
                 let run = || -> Result<usize, String> {
-                    let mut conn = LoadConn::connect(addr)?;
+                    let mut conn = LoadConn::connect(addr, latency)?;
                     let mut finished = 0;
                     // Client `c` owns sessions c, c+clients, c+2*clients, …
                     for index in (client..sessions).step_by(clients) {
@@ -822,7 +903,7 @@ fn cmd_load(args: &Args) -> Result<(), String> {
     });
     let elapsed = started.elapsed();
 
-    let mut control = LoadConn::connect(&addr)?;
+    let mut control = LoadConn::connect(&addr, &latency)?;
     let stats = match control.request(&Request::Stats)? {
         Response::Stats { stats } => stats,
         other => return Err(format!("expected Stats, got {other:?}")),
@@ -840,6 +921,7 @@ fn cmd_load(args: &Args) -> Result<(), String> {
         stats.sessions,
         stats.sweeps,
     );
+    eprintln!("load: client round trip p50/p99 ms: {}", latency.summary());
     if let Some(error) = failures.first() {
         return Err(format!(
             "{} client(s) failed; first: {error}",
@@ -872,6 +954,14 @@ fn cmd_load(args: &Args) -> Result<(), String> {
     }
     if !status.success() {
         return Err(format!("server exited with {status}"));
+    }
+    let run_p99 = latency.run.quantile(0.99).unwrap_or(0.0);
+    if run_p99 > LOAD_RUN_P99_BOUND_US as f64 {
+        return Err(format!(
+            "latency bound violated: p99 run round trip {:.3} ms exceeds {:.3} ms",
+            run_p99 / 1_000.0,
+            LOAD_RUN_P99_BOUND_US as f64 / 1_000.0
+        ));
     }
     Ok(())
 }

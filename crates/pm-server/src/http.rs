@@ -20,7 +20,8 @@
 //! line that is not `METHOD TARGET VERSION` answers `400`. Every response
 //! carries `Content-Length` and `Connection: close` — one request per
 //! connection keeps the parser trivial and scrape clients do exactly that
-//! anyway.
+//! anyway — and goes out in one write, head and body together, on a socket
+//! with Nagle off.
 //!
 //! Like the `stats` and `metrics` verbs, nothing served here is
 //! byte-reproducible; the listener exists for operators, not for golden
@@ -95,6 +96,7 @@ fn serve_request(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     let _span = trace::span("transport", "http");
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
     stream.set_write_timeout(Some(READ_TIMEOUT))?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?).take(MAX_HEAD_BYTES);
     let mut request_line = String::new();
     if reader.read_line(&mut request_line)? == 0 {
@@ -168,20 +170,20 @@ fn route(shared: &Shared, request_line: &str) -> (&'static str, &'static str, St
     }
 }
 
-/// Writes one complete HTTP/1.1 response and flushes.
+/// Writes one complete HTTP/1.1 response, head and body in one write, and
+/// flushes.
 fn respond(
     writer: &mut impl Write,
     status: &str,
     content_type: &str,
     body: &str,
 ) -> io::Result<()> {
-    write!(
-        writer,
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
-    writer.write_all(body.as_bytes())?;
+    );
+    writer.write_all(response.as_bytes())?;
     writer.flush()
 }
 
@@ -191,10 +193,7 @@ mod tests {
     use crate::server::ServerCore;
 
     fn shared() -> Arc<Shared> {
-        Arc::new(Shared {
-            core: std::sync::Mutex::new(ServerCore::default()),
-            shutdown: std::sync::atomic::AtomicBool::new(false),
-        })
+        Shared::new(ServerCore::default())
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!   typed errors instead of dying on them.
 //! * [`transport`] — the stdio and TCP servers (std-only, fully offline).
 //!   TCP serves every connection on its own thread over the shared core,
-//!   with read timeouts, accept-error backoff, and graceful shutdown.
+//!   with read timeouts, accept-error backoff, and graceful shutdown. Each
+//!   reply is one write with Nagle off, and only `handle` runs under the
+//!   core lock.
 //! * [`http`] — an optional hand-rolled HTTP/1.1 GET-only sidecar
 //!   ([`ServeOptions`]) so `curl` and Prometheus can scrape `/healthz`,
 //!   `/metrics`, `/stats` and `/trace` without speaking the line protocol.

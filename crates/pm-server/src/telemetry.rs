@@ -79,6 +79,10 @@ pub struct ServerTelemetry {
     pub connection_errors: Counter,
     /// Malformed request lines answered with a protocol error.
     pub malformed_requests: Counter,
+    /// Time spent waiting to take the shared core lock, µs.
+    pub core_lock_wait_us: Histogram,
+    /// Wall time of writing one request's reply to its connection, µs.
+    pub write_us: Histogram,
     /// Wall time of one scheduler sweep, µs.
     pub sweep_duration_us: Histogram,
     /// Wall time of one durable checkpoint write, µs.
@@ -125,6 +129,8 @@ impl ServerTelemetry {
             accept_errors: registry.counter("pm_server_accept_errors_total"),
             connection_errors: registry.counter("pm_server_connection_errors_total"),
             malformed_requests: registry.counter("pm_server_malformed_requests_total"),
+            core_lock_wait_us: registry.histogram("pm_server_core_lock_wait_us", LATENCY_US_BOUNDS),
+            write_us: registry.histogram("pm_server_write_us", LATENCY_US_BOUNDS),
             sweep_duration_us: registry.histogram("pm_server_sweep_duration_us", LATENCY_US_BOUNDS),
             checkpoint_write_us: registry
                 .histogram("pm_server_checkpoint_write_us", WRITE_US_BOUNDS),

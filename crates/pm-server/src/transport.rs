@@ -1,13 +1,22 @@
 //! Transports: the same [`ServerCore`] served over stdin/stdout or TCP.
 //!
 //! Both speak the identical line protocol — one JSON [`Request`] per input
-//! line, one or more JSON [`Response`] lines per request, flushed after
-//! every request so clients can stream. Malformed lines answer with an
-//! `Error` response and the connection keeps serving; blank lines and
-//! `#`-prefixed comment lines are ignored (scripts interleave them freely).
+//! line, one or more JSON [`Response`] lines per request. Malformed lines
+//! answer with an `Error` response and the connection keeps serving; blank
+//! lines and `#`-prefixed comment lines are ignored (scripts interleave
+//! them freely).
+//!
+//! Every transport, and the in-process [`serve`], runs a request through
+//! one path: decode the line, call [`ServerCore::handle`], render all of
+//! its response lines into one buffer, and hand that buffer to the output
+//! in a single `write_all` followed by a flush, so clients can stream. Only
+//! `handle` runs under the core lock; decoding, encoding and the socket
+//! write happen outside it, so a connection blocked on a slow peer never
+//! holds up another. Accepted TCP sockets also set `TCP_NODELAY`, so no
+//! part of a reply waits for the peer's delayed ACK (~40 ms).
 //!
 //! The TCP transport is concurrent: every accepted connection gets its own
-//! thread, all of them serializing requests through one shared
+//! thread, all of them serializing `handle` calls through one shared
 //! `Mutex<ServerCore>` (the core itself pumps sessions fairly, so one
 //! client's long `run` cannot starve another session — only delay the
 //! other client's next response). Connections read with a short timeout so
@@ -20,11 +29,12 @@
 
 use crate::protocol::{Request, Response};
 use crate::server::ServerCore;
+use crate::telemetry::{as_micros, ServerTelemetry};
 use pm_telemetry::{error, info, trace, warn};
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -52,74 +62,107 @@ pub fn serve(
     input: impl BufRead,
     mut output: impl Write,
 ) -> io::Result<bool> {
-    let mut responses = Vec::new();
+    let telemetry = core.telemetry();
+    let mut reply = Reply::default();
     for line in input.lines() {
         let line = line?;
-        if handle_line(core, &line, &mut responses, &mut output)? {
+        let handle = |request, out: &mut Vec<Response>| core.handle(request, out);
+        if handle_line_with(&telemetry, handle, &line, &mut reply, &mut output)? {
             return Ok(true);
         }
     }
     Ok(false)
 }
 
-/// Parses and serves one request line, writing its responses. Returns
+/// One connection's reusable reply buffers: the responses to the request
+/// being served and their rendered lines.
+#[derive(Default)]
+struct Reply {
+    responses: Vec<Response>,
+    text: String,
+}
+
+/// Parses and serves one request line, answering with all of its response
+/// lines in one `write_all`. `handle` is the only step that needs the core
+/// ([`ServerCore::handle`], behind the core lock on the concurrent
+/// transports); decoding, encoding and writing run outside it. Returns
 /// `true` iff the line was a `shutdown` verb. Blank and comment lines are
 /// no-ops.
-fn handle_line(
-    core: &mut ServerCore,
+fn handle_line_with(
+    telemetry: &ServerTelemetry,
+    handle: impl FnOnce(Request, &mut Vec<Response>) -> bool,
     line: &str,
-    responses: &mut Vec<Response>,
+    reply: &mut Reply,
     output: &mut impl Write,
 ) -> io::Result<bool> {
-    let telemetry = core.telemetry();
     telemetry.bytes_read.add(line.len() as u64);
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(false);
     }
-    responses.clear();
+    reply.responses.clear();
     let shutdown = match serde_json::from_str::<Request>(line) {
-        Ok(request) => core.handle(request, responses),
+        Ok(request) => handle(request, &mut reply.responses),
         Err(e) => {
             telemetry.malformed_requests.inc();
-            responses.push(Response::Error {
+            reply.responses.push(Response::Error {
                 message: format!("malformed request: {e}"),
             });
             false
         }
     };
-    for response in responses.iter() {
+    reply.text.clear();
+    for response in &reply.responses {
         let json = serde_json::to_string(response)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        telemetry.bytes_written.add(json.len() as u64 + 1);
-        writeln!(output, "{json}")?;
+        reply.text.push_str(&json);
+        reply.text.push('\n');
     }
+    telemetry.bytes_written.add(reply.text.len() as u64);
+    let writing = Instant::now();
+    output.write_all(reply.text.as_bytes())?;
     output.flush()?;
+    telemetry.write_us.observe(as_micros(writing.elapsed()));
     Ok(shutdown)
 }
 
 /// The state every connection thread shares — protocol connections and the
 /// HTTP observability listener alike.
 pub(crate) struct Shared {
-    pub(crate) core: Mutex<ServerCore>,
+    core: Mutex<ServerCore>,
+    /// The core's telemetry, reachable without the lock.
+    telemetry: Arc<ServerTelemetry>,
     pub(crate) shutdown: AtomicBool,
 }
 
 impl Shared {
-    fn new(core: ServerCore) -> Arc<Shared> {
+    pub(crate) fn new(core: ServerCore) -> Arc<Shared> {
         Arc::new(Shared {
+            telemetry: core.telemetry(),
             core: Mutex::new(core),
             shutdown: AtomicBool::new(false),
         })
     }
 
-    pub(crate) fn lock(&self) -> std::sync::MutexGuard<'_, ServerCore> {
+    /// Locks the core, recording how long the caller waited for it.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, ServerCore> {
+        let waiting = Instant::now();
         // A poisoned mutex means a handler panicked; the core's state is
         // still a valid set of sessions (handlers don't leave partial
         // state), so keep serving the remaining clients.
-        self.core
+        let core = self
+            .core
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        self.telemetry
+            .core_lock_wait_us
+            .observe(as_micros(waiting.elapsed()));
+        core
+    }
+
+    /// Serves `request` on the core, holding the lock for the call alone.
+    fn handle(&self, request: Request, out: &mut Vec<Response>) -> bool {
+        self.lock().handle(request, out)
     }
 
     /// Runs one final housekeeping sweep so shutdown leaves current
@@ -180,8 +223,8 @@ pub fn serve_stdio(core: ServerCore) -> io::Result<()> {
 /// Propagates I/O errors from the standard streams, and bind errors from
 /// the HTTP listener.
 pub fn serve_stdio_with(core: ServerCore, options: ServeOptions<'_>) -> io::Result<()> {
-    let telemetry = core.telemetry();
     let shared = Shared::new(core);
+    let telemetry = &shared.telemetry;
     let http = options
         .http
         .map(|addr| crate::http::spawn(Arc::clone(&shared), addr))
@@ -195,7 +238,7 @@ pub fn serve_stdio_with(core: ServerCore, options: ServeOptions<'_>) -> io::Resu
     let stdin = io::stdin();
     let stdout = io::stdout();
     let mut output = stdout.lock();
-    let mut responses = Vec::new();
+    let mut reply = Reply::default();
     let mut result = Ok(());
     for line in stdin.lock().lines() {
         let line = match line {
@@ -205,7 +248,8 @@ pub fn serve_stdio_with(core: ServerCore, options: ServeOptions<'_>) -> io::Resu
                 break;
             }
         };
-        match handle_line(&mut shared.lock(), &line, &mut responses, &mut output) {
+        let handle = |request, out: &mut Vec<Response>| shared.handle(request, out);
+        match handle_line_with(telemetry, handle, &line, &mut reply, &mut output) {
             Ok(false) => {}
             Ok(true) => break,
             Err(e) => {
@@ -266,8 +310,8 @@ pub fn serve_tcp_with(
     listener.set_nonblocking(true)?;
     info!(LOG, "listening on {local}");
 
-    let telemetry = core.telemetry();
     let shared = Shared::new(core);
+    let telemetry = &shared.telemetry;
     let http = options
         .http
         .map(|addr| crate::http::spawn(Arc::clone(&shared), addr))
@@ -280,8 +324,8 @@ pub fn serve_tcp_with(
             Ok((stream, peer)) => {
                 backoff = BACKOFF_FLOOR;
                 let shared = Arc::clone(&shared);
-                let telemetry = Arc::clone(&telemetry);
                 connections.push(thread::spawn(move || {
+                    let telemetry = &shared.telemetry;
                     telemetry.connections_total.inc();
                     telemetry.active_connections.add(1);
                     let served = serve_connection(&shared, stream);
@@ -320,14 +364,17 @@ pub fn serve_tcp_with(
 /// Serves one TCP connection until EOF, error, or server shutdown. Reads
 /// poll with a short timeout so a slow client never holds the core lock
 /// and the thread notices shutdown raised elsewhere; a partial line
-/// survives across polls until its newline arrives.
+/// survives across polls until its newline arrives. Nagle is off: each
+/// reply is one write, so there is nothing to coalesce and only the
+/// delayed-ACK stall to lose.
 fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     let _conn = trace::span("transport", "connection");
     stream.set_read_timeout(Some(READ_POLL))?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut line = String::new();
-    let mut responses = Vec::new();
+    let mut reply = Reply::default();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return Ok(());
@@ -335,7 +382,9 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         match reader.read_line(&mut line) {
             Ok(0) => return Ok(()), // EOF: client hung up (possibly mid-line).
             Ok(_) => {
-                let shutdown = handle_line(&mut shared.lock(), &line, &mut responses, &mut writer)?;
+                let handle = |request, out: &mut Vec<Response>| shared.handle(request, out);
+                let shutdown =
+                    handle_line_with(&shared.telemetry, handle, &line, &mut reply, &mut writer)?;
                 line.clear();
                 if shutdown {
                     shared.shutdown.store(true, Ordering::SeqCst);
@@ -366,6 +415,79 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("malformed request"));
         assert!(lines[1].contains("sessions"));
+    }
+
+    /// A `Write` that keeps every `write` call's bytes apart.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_multi_line_reply_is_one_write_of_the_per_line_rendering() {
+        let submit = Request::Submit {
+            spec: ScenarioSpec::new("s", GeneratorSpec::Hexagon { radius: 2 }),
+        };
+        let watch = Request::Watch {
+            session: 1,
+            rounds: 3,
+        };
+        // The reply as it used to be written: each response serialized and
+        // newline-terminated on its own, computed on a twin core.
+        let mut twin = ServerCore::default();
+        let mut expected = Vec::new();
+        for request in [submit.clone(), watch.clone()] {
+            let mut responses = Vec::new();
+            twin.handle(request, &mut responses);
+            let mut text = String::new();
+            for response in &responses {
+                text.push_str(&serde_json::to_string(response).unwrap());
+                text.push('\n');
+            }
+            expected.push(text.into_bytes());
+        }
+
+        let script = format!(
+            "{}\n{}\n",
+            serde_json::to_string(&submit).unwrap(),
+            serde_json::to_string(&watch).unwrap()
+        );
+        let mut out = CountingWriter::default();
+        serve(&mut ServerCore::default(), script.as_bytes(), &mut out).unwrap();
+        assert_eq!(out.writes.len(), 2, "one write per request");
+        let watch_lines = out.writes[1].iter().filter(|&&b| b == b'\n').count();
+        assert_eq!(watch_lines, 4, "three Round lines and the final Status");
+        assert_eq!(out.writes, expected);
+    }
+
+    #[test]
+    fn lock_wait_and_write_time_are_recorded_per_request() {
+        let shared = Shared::new(ServerCore::default());
+        let mut reply = Reply::default();
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            let handle = |request, out: &mut Vec<Response>| shared.handle(request, out);
+            let line = "\"Sessions\"";
+            handle_line_with(&shared.telemetry, handle, line, &mut reply, &mut out).unwrap();
+        }
+        assert_eq!(shared.telemetry.core_lock_wait_us.count(), 3);
+        assert_eq!(shared.telemetry.write_us.count(), 3);
+        assert_eq!(
+            shared.telemetry.bytes_written.get(),
+            out.len() as u64,
+            "every written byte is counted"
+        );
     }
 
     #[test]

@@ -58,9 +58,11 @@ impl StdioServer {
 
     /// Sends one request and reads to its final response.
     fn request(&mut self, request: &Request) -> Response {
-        let line = serde_json::to_string(request).expect("request serializes");
-        writeln!(self.input, "{line}").expect("write to server");
-        self.input.flush().expect("flush to server");
+        let mut line = serde_json::to_string(request).expect("request serializes");
+        line.push('\n');
+        self.input
+            .write_all(line.as_bytes())
+            .expect("write to server");
         loop {
             let mut raw = String::new();
             assert_ne!(
@@ -277,14 +279,25 @@ fn spawn_tcp(extra: &[&str]) -> (Child, String, std::thread::JoinHandle<()>) {
     (child, addr.expect("server announced its address"), drain)
 }
 
+/// Connects with Nagle off, so a request never waits on the peer's
+/// delayed ACK.
+fn connect(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("set TCP_NODELAY");
+    let reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    (stream, reader)
+}
+
+/// Sends `request` as one line in a single write and reads to its final
+/// response.
 fn tcp_request(
     stream: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,
     request: &Request,
 ) -> Response {
-    let line = serde_json::to_string(request).unwrap();
-    writeln!(stream, "{line}").expect("send");
-    stream.flush().expect("flush");
+    let mut line = serde_json::to_string(request).unwrap();
+    line.push('\n');
+    stream.write_all(line.as_bytes()).expect("send");
     loop {
         let mut raw = String::new();
         assert_ne!(
@@ -314,8 +327,7 @@ fn connections_killed_mid_line_leave_the_server_serving() {
         drop(victim); // hang up mid-line, newline never sent
     }
 
-    let mut clean = TcpStream::connect(&addr).expect("connect after carnage");
-    let mut reader = BufReader::new(clean.try_clone().unwrap());
+    let (mut clean, mut reader) = connect(&addr);
     let spec = ScenarioSpec::new("survivor", GeneratorSpec::Hexagon { radius: 2 });
     let session = match tcp_request(&mut clean, &mut reader, &Request::Submit { spec }) {
         Response::Submitted { session, .. } => session,
@@ -347,8 +359,7 @@ fn thirty_two_concurrent_clients_share_one_server() {
         for client in 0..CLIENTS {
             let addr = &addr;
             scope.spawn(move || {
-                let mut stream = TcpStream::connect(addr).expect("connect");
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let (mut stream, mut reader) = connect(addr);
                 for index in 0..SESSIONS_EACH {
                     let spec = ScenarioSpec::new(
                         format!("storm-{client}-{index}"),
@@ -375,8 +386,7 @@ fn thirty_two_concurrent_clients_share_one_server() {
         }
     });
 
-    let mut control = TcpStream::connect(&addr).expect("connect control");
-    let mut reader = BufReader::new(control.try_clone().unwrap());
+    let (mut control, mut reader) = connect(&addr);
     match tcp_request(&mut control, &mut reader, &Request::Stats) {
         Response::Stats { stats } => {
             assert_eq!(stats.sessions, 0, "every storm session was cancelled");

@@ -2,13 +2,15 @@
 //! a scripted session — submit, watch, mid-flight perturbation, run,
 //! checkpoint, **fresh-process** restore, run again — and the transcript
 //! must match the committed golden byte for byte, at every scheduler thread
-//! count. A second test exercises the TCP transport against a live socket.
+//! count. Two more tests exercise the TCP transport against a live socket:
+//! the same protocol over reconnects, and round trips without a stall.
 
 use pm_server::{Request, Response};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_pm-scenarios");
 
@@ -124,77 +126,137 @@ fn smoke_transcript_proves_the_full_lifecycle() {
     assert!(matches!(parsed.last(), Some(Response::Bye)));
 }
 
+/// A `serve --tcp` child on an ephemeral port, killed on drop so a failing
+/// test leaves no server behind.
+struct TcpServer {
+    child: Child,
+    addr: String,
+}
+
+impl TcpServer {
+    /// Spawns the server and reads the address it announces on stderr (as
+    /// a log line, so scan lines for the substring rather than assuming it
+    /// comes first).
+    fn spawn() -> TcpServer {
+        let mut child = Command::new(BIN)
+            .args(["serve", "--tcp", "127.0.0.1:0"])
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("server spawns");
+        let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
+        let mut server = TcpServer {
+            child,
+            addr: String::new(),
+        };
+        let mut announcement = String::new();
+        while stderr.read_line(&mut announcement).expect("announcement") > 0 {
+            if let Some(at) = announcement.find("listening on ") {
+                server.addr = announcement[at + "listening on ".len()..]
+                    .trim()
+                    .to_string();
+                return server;
+            }
+            announcement.clear();
+        }
+        panic!("server never announced its address");
+    }
+
+    /// Waits for the server to exit after a `Shutdown` and checks it
+    /// succeeded.
+    fn wait(mut self) {
+        let status = self.child.wait().expect("server exits");
+        assert!(status.success(), "server exited with {status}");
+    }
+}
+
+impl Drop for TcpServer {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Connects with Nagle off, so a request never waits on the peer's
+/// delayed ACK.
+fn connect(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("set TCP_NODELAY");
+    let reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    (stream, reader)
+}
+
+/// Sends one request line, newline included, in a single write and parses
+/// the first response line.
+fn exchange(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Response {
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("receive");
+    serde_json::from_str(reply.trim()).expect("response parses")
+}
+
+fn request_line(request: &Request) -> String {
+    serde_json::to_string(request).unwrap()
+}
+
 #[test]
 fn tcp_transport_serves_the_same_protocol() {
-    let mut server = Command::new(BIN)
-        .args(["serve", "--tcp", "127.0.0.1:0"])
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("server spawns");
-    // The server announces its ephemeral port on stderr (as a log line, so
-    // scan lines for the substring rather than assuming it comes first).
-    let mut stderr = BufReader::new(server.stderr.take().expect("stderr piped"));
-    let mut addr = None;
-    let mut announcement = String::new();
-    while stderr.read_line(&mut announcement).expect("announcement") > 0 {
-        if let Some(at) = announcement.find("listening on ") {
-            addr = Some(
-                announcement[at + "listening on ".len()..]
-                    .trim()
-                    .to_string(),
-            );
-            break;
-        }
-        announcement.clear();
-    }
-    let addr = addr.expect("server announced its address");
+    let server = TcpServer::spawn();
 
     let spec = r#"{"Submit":{"spec":{"name":"tcp","tags":[],"generator":{"Hexagon":{"radius":3}},"algorithm":"Pipeline","scheduler":{"SeededRandom":7},"options":{"assume_outer_boundary_known":false,"reconnect":true,"track_connectivity":false,"round_budget":null,"seed":7,"occupancy":"Dense"},"perturbations":[],"faults":{"seed":0,"reset":"None","processes":[]}}}}"#;
 
     // First connection: submit, then drop the connection mid-session.
-    let mut first = TcpStream::connect(&addr).expect("connect");
-    writeln!(first, "{spec}").unwrap();
-    let mut reader = BufReader::new(first.try_clone().unwrap());
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
+    let (mut first, mut reader) = connect(&server.addr);
+    let submitted = exchange(&mut first, &mut reader, spec);
     assert!(
-        matches!(
-            serde_json::from_str(line.trim()).unwrap(),
-            Response::Submitted { session: 1, .. }
-        ),
-        "unexpected response {line}"
+        matches!(submitted, Response::Submitted { session: 1, .. }),
+        "unexpected response {submitted:?}"
     );
     drop(reader);
     drop(first);
 
     // Second connection: the session survived the disconnect; finish it
     // and shut the server down.
-    let mut second = TcpStream::connect(&addr).expect("reconnect");
-    let mut reader = BufReader::new(second.try_clone().unwrap());
-    writeln!(
-        second,
-        "{}",
-        serde_json::to_string(&Request::Run { session: 1 }).unwrap()
-    )
-    .unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    match serde_json::from_str(line.trim()).unwrap() {
+    let (mut second, mut reader) = connect(&server.addr);
+    match exchange(
+        &mut second,
+        &mut reader,
+        &request_line(&Request::Run { session: 1 }),
+    ) {
         Response::Done { session: 1, report } => assert!(report.unique_leader()),
         other => panic!("expected Done, got {other:?}"),
     }
-    writeln!(
-        second,
-        "{}",
-        serde_json::to_string(&Request::Shutdown).unwrap()
-    )
-    .unwrap();
-    line.clear();
-    reader.read_line(&mut line).unwrap();
     assert!(matches!(
-        serde_json::from_str(line.trim()).unwrap(),
+        exchange(&mut second, &mut reader, &request_line(&Request::Shutdown)),
         Response::Bye
     ));
-    let status = server.wait().expect("server exits");
-    assert!(status.success());
+    server.wait();
+}
+
+/// Sequential requests on one connection must not pay a delayed-ACK stall
+/// each: with a reply split across writes under Nagle, every round trip
+/// waits ~40 ms for the peer's ACK and 20 of them take at least 800 ms.
+#[test]
+fn sequential_requests_on_one_connection_do_not_stall() {
+    let server = TcpServer::spawn();
+    let (mut stream, mut reader) = connect(&server.addr);
+    let sessions = request_line(&Request::Sessions);
+    let started = Instant::now();
+    for _ in 0..20 {
+        assert!(matches!(
+            exchange(&mut stream, &mut reader, &sessions),
+            Response::Sessions { .. }
+        ));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 sequential Sessions round trips took {elapsed:?}"
+    );
+    assert!(matches!(
+        exchange(&mut stream, &mut reader, &request_line(&Request::Shutdown)),
+        Response::Bye
+    ));
+    server.wait();
 }

@@ -52,8 +52,10 @@ impl HttpServer {
     /// Sends one protocol request and returns its final response.
     fn request(&self, request: &Request) -> Response {
         let mut stream = TcpStream::connect(&self.protocol_addr).expect("connect protocol");
+        stream.set_nodelay(true).expect("set TCP_NODELAY");
         let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-        writeln!(stream, "{}", serde_json::to_string(request).unwrap()).expect("send");
+        let line = format!("{}\n", serde_json::to_string(request).unwrap());
+        stream.write_all(line.as_bytes()).expect("send");
         let mut line = String::new();
         loop {
             line.clear();
@@ -69,6 +71,7 @@ impl HttpServer {
     /// (head + body) as text.
     fn http_raw(&self, request: &str) -> String {
         let mut stream = TcpStream::connect(&self.http_addr).expect("connect http");
+        stream.set_nodelay(true).expect("set TCP_NODELAY");
         stream.write_all(request.as_bytes()).expect("send request");
         let mut response = String::new();
         stream.read_to_string(&mut response).expect("read response");

@@ -114,6 +114,40 @@ impl Histogram {
         self.0.sum.load(Ordering::SeqCst)
     }
 
+    /// Estimates the `q`-quantile (`0 < q <= 1`) the way Prometheus'
+    /// `histogram_quantile` does: find the bucket holding rank `q * count`
+    /// and interpolate linearly inside it, the first bucket starting at 0.
+    /// A rank in the `+Inf` bucket answers the largest finite bound. For
+    /// any other bucket bound `b`, the estimate exceeds `b` exactly when
+    /// more than `(1 - q) * count` observations do. `None` before any
+    /// observation.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        let inner = &*self.0;
+        let buckets: Vec<u64> = inner
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::SeqCst))
+            .collect();
+        let count: u64 = buckets.iter().sum();
+        if count == 0 {
+            return None;
+        }
+        let rank = q.clamp(0.0, 1.0) * count as f64;
+        let mut below = 0u64;
+        for (i, &in_bucket) in buckets.iter().enumerate() {
+            if in_bucket > 0 && (below + in_bucket) as f64 >= rank {
+                let Some(&upper) = inner.bounds.get(i) else {
+                    break;
+                };
+                let lower = if i == 0 { 0 } else { inner.bounds[i - 1] };
+                let within = (rank - below as f64) / in_bucket as f64;
+                return Some(lower as f64 + (upper - lower) as f64 * within);
+            }
+            below += in_bucket;
+        }
+        inner.bounds.last().map(|&b| b as f64)
+    }
+
     fn sample(&self, name: &str, labels: &[LabelPair]) -> HistogramSample {
         let inner = &*self.0;
         let count = inner.count.load(Ordering::SeqCst);
@@ -446,6 +480,27 @@ mod tests {
         assert_eq!(sample.buckets, [2, 2, 0, 1], "bounds are inclusive");
         assert_eq!(sample.count, 5);
         assert_eq!(sample.sum, 3 + 10 + 11 + 100 + 5000);
+    }
+
+    #[test]
+    fn quantiles_interpolate_within_the_holding_bucket() {
+        let registry = Registry::new();
+        let h = registry.histogram("pm_q_us", &[10, 100, 1000]);
+        assert_eq!(h.quantile(0.5), None, "no observations yet");
+        for v in [5, 5, 50, 50, 50, 50, 50, 50, 50, 500] {
+            h.observe(v);
+        }
+        // Rank 1 of 2 in the first bucket [0, 10].
+        assert_eq!(h.quantile(0.1), Some(5.0));
+        // Rank 5 is the third of seven in (10, 100].
+        let p50 = h.quantile(0.5).unwrap();
+        assert!((p50 - (10.0 + 90.0 * 3.0 / 7.0)).abs() < 1e-9, "{p50}");
+        // Nine observations are <= 100, so p90 sits on that bound and p99
+        // is above it.
+        assert_eq!(h.quantile(0.9), Some(100.0));
+        assert!(h.quantile(0.99).unwrap() > 100.0);
+        h.observe(5000);
+        assert_eq!(h.quantile(1.0), Some(1000.0), "+Inf answers the last bound");
     }
 
     #[test]
