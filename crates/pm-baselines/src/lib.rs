@@ -25,8 +25,8 @@
 //! [`LeaderElection`](pm_core::api::LeaderElection) trait and returns the
 //! same [`RunReport`](pm_core::api::RunReport) as the paper pipeline, so the
 //! analysis crate tabulates all contenders through one `&dyn LeaderElection`
-//! loop (or ships them to the thread-sharded
-//! [`BatchRunner`](pm_core::batch::BatchRunner)):
+//! loop (or runs them all at once on the
+//! [`SessionScheduler`](pm_core::session::SessionScheduler)):
 //!
 //! ```
 //! use pm_baselines::{ErosionLeaderElection, QuadraticBoundary, RandomizedBoundary};
@@ -109,18 +109,85 @@ mod tests {
     }
 
     #[test]
-    fn baselines_run_through_the_batch_runner() {
-        use pm_core::batch::{BatchRunner, BatchScenario, SchedulerSpec};
-        let scenarios: Vec<BatchScenario> = (0..4)
-            .map(|i| {
-                BatchScenario::new(format!("hexagon-{i}"), hexagon(3))
-                    .scheduler(SchedulerSpec::SeededRandom(i))
+    fn scheduler_runs_match_direct_elect_calls() {
+        use pm_core::api::{phase, ElectionError, PaperPipeline, RunReport};
+        use pm_core::session::{no_hook, Goal, SessionScheduler};
+        use pm_core::SchedulerSpec;
+        use pm_grid::Shape;
+        let dle_only = RunOptions {
+            assume_outer_boundary_known: true,
+            reconnect: false,
+            ..RunOptions::default()
+        };
+        let default = RunOptions::default();
+        let jobs: [(&dyn LeaderElection, Shape, RunOptions, SchedulerSpec); 6] = [
+            (
+                &PaperPipeline,
+                hexagon(4),
+                default,
+                SchedulerSpec::SeededRandom(1),
+            ),
+            (
+                &PaperPipeline,
+                annulus(5, 2),
+                dle_only,
+                SchedulerSpec::RoundRobin,
+            ),
+            (
+                &ErosionLeaderElection,
+                hexagon(3),
+                default,
+                SchedulerSpec::DoubleActivation,
+            ),
+            (
+                &ErosionLeaderElection,
+                annulus(4, 1),
+                default,
+                SchedulerSpec::SeededRandom(2),
+            ),
+            (
+                &SelfStabMaxElection,
+                annulus(4, 2),
+                default,
+                SchedulerSpec::ReverseRoundRobin,
+            ),
+            (
+                &PaperPipeline,
+                Shape::new(),
+                default,
+                SchedulerSpec::RoundRobin,
+            ),
+        ];
+        let mut scheduler: SessionScheduler = SessionScheduler::with_threads(u64::MAX, 2);
+        let sessions: Vec<_> = jobs
+            .iter()
+            .map(|(algorithm, shape, opts, spec)| {
+                algorithm
+                    .start_owned(shape, spec.build(), opts)
+                    .map(|execution| {
+                        let id = scheduler.admit(execution, ());
+                        scheduler.set_goal(id, Goal::Complete);
+                        id
+                    })
             })
             .collect();
-        let results = BatchRunner::with_threads(2).run(&ErosionLeaderElection, scenarios);
-        assert_eq!(results.len(), 4);
-        for result in results {
-            assert_eq!(result.unwrap().leaders, 1);
+        while scheduler.sweep(&no_hook) > 0 {}
+        let results: Vec<Result<RunReport, ElectionError>> = sessions
+            .into_iter()
+            .map(|session| session.and_then(|id| scheduler.outcome(id).expect("swept").clone()))
+            .collect();
+        for ((algorithm, shape, opts, spec), result) in jobs.iter().zip(&results) {
+            let direct = algorithm.elect(shape, &mut *spec.build(), opts);
+            assert_eq!(&direct, result, "{}", algorithm.name());
         }
+        let full = results[0].as_ref().expect("pipeline elects");
+        let dle = results[1].as_ref().expect("DLE-only elects");
+        assert!(full.phases.iter().any(|p| p.name == phase::OBD));
+        assert!(!dle.phases.iter().any(|p| p.name == phase::OBD));
+        assert!(matches!(results[3], Err(ElectionError::Stuck { .. })));
+        assert!(matches!(
+            results[5],
+            Err(ElectionError::InvalidInitialConfiguration(_))
+        ));
     }
 }

@@ -1,25 +1,26 @@
 //! Criterion benchmark of the multi-tenant session scheduler: N concurrent
 //! small elections driven to completion through `SessionScheduler` sweeps
-//! (sequential and sharded) against the same N scenarios through the
-//! `BatchRunner`, which finishes each run eagerly. The batch path is the
-//! throughput ceiling — no slice bookkeeping, no owned-execution dispatch —
-//! so the gap is the price of fair round-robin interleaving, which the
-//! server pays to keep thousands of sessions live at once.
+//! with a fair 16-step slice (sequential and sharded), against the same N
+//! scenarios at an unbounded slice (`eager-seq`), which finishes each run
+//! in one slice as the experiment sweeps do. The eager path is the
+//! throughput ceiling — one slice per session, no interleaving — so the gap
+//! is the price of fair round-robin interleaving, which the server pays to
+//! keep thousands of sessions live at once.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pm_core::api::{LeaderElection, PaperPipeline, RunOptions};
-use pm_core::batch::{BatchRunner, BatchScenario, SchedulerSpec};
 use pm_core::session::{no_hook, Goal, SessionScheduler};
+use pm_core::SchedulerSpec;
 use pm_grid::builder::hexagon;
 use std::hint::black_box;
 use std::time::Duration;
 
 const SLICE_STEPS: u64 = 16;
 
-fn sessions_total_rounds(n_sessions: u64, threads: usize) -> u64 {
+fn sessions_total_rounds(n_sessions: u64, slice_steps: u64, threads: usize) -> u64 {
     let shape = hexagon(3);
     let opts = RunOptions::default();
-    let mut scheduler: SessionScheduler = SessionScheduler::with_threads(SLICE_STEPS, threads);
+    let mut scheduler: SessionScheduler = SessionScheduler::with_threads(slice_steps, threads);
     for seed in 0..n_sessions {
         let execution = PaperPipeline
             .start_owned(&shape, SchedulerSpec::SeededRandom(seed).build(), &opts)
@@ -42,47 +43,30 @@ fn sessions_total_rounds(n_sessions: u64, threads: usize) -> u64 {
         .sum()
 }
 
-fn batch_total_rounds(n_sessions: u64, threads: usize) -> u64 {
-    let shape = hexagon(3);
-    let scenarios: Vec<BatchScenario> = (0..n_sessions)
-        .map(|seed| BatchScenario {
-            label: format!("s{seed}"),
-            shape: shape.clone(),
-            options: RunOptions::default(),
-            scheduler: SchedulerSpec::SeededRandom(seed),
-        })
-        .collect();
-    BatchRunner::with_threads(threads)
-        .run(&PaperPipeline, scenarios)
-        .into_iter()
-        .map(|r| r.expect("hexagon elects").total_rounds)
-        .sum()
-}
-
-fn bench_sessions_vs_batch(c: &mut Criterion) {
+fn bench_fair_vs_eager(c: &mut Criterion) {
     let mut group = c.benchmark_group("sessions");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
     for n_sessions in [16u64, 64] {
         group.bench_with_input(
-            BenchmarkId::new("batch-seq", n_sessions),
+            BenchmarkId::new("eager-seq", n_sessions),
             &n_sessions,
-            |b, &n| b.iter(|| black_box(batch_total_rounds(n, 1))),
+            |b, &n| b.iter(|| black_box(sessions_total_rounds(n, u64::MAX, 1))),
         );
         group.bench_with_input(
             BenchmarkId::new("scheduler-seq", n_sessions),
             &n_sessions,
-            |b, &n| b.iter(|| black_box(sessions_total_rounds(n, 1))),
+            |b, &n| b.iter(|| black_box(sessions_total_rounds(n, SLICE_STEPS, 1))),
         );
         group.bench_with_input(
             BenchmarkId::new("scheduler-4t", n_sessions),
             &n_sessions,
-            |b, &n| b.iter(|| black_box(sessions_total_rounds(n, 4))),
+            |b, &n| b.iter(|| black_box(sessions_total_rounds(n, SLICE_STEPS, 4))),
         );
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_sessions_vs_batch);
+criterion_group!(benches, bench_fair_vs_eager);
 criterion_main!(benches);

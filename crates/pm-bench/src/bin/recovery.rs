@@ -26,7 +26,7 @@
 use pm_baselines::SelfStabMaxElection;
 use pm_bench::arg_or;
 use pm_core::api::{LeaderElection, PaperPipeline, RunOptions, RunReport, StepOutcome};
-use pm_core::batch::SchedulerSpec;
+use pm_core::SchedulerSpec;
 use pm_faults::{
     measure_recovery, FaultKind, FaultPlan, FaultProcess, FaultScript, RecoveryReport, ResetPolicy,
 };

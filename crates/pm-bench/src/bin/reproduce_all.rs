@@ -1,6 +1,5 @@
 //! Runs every experiment (T1, F2–F9) at moderate scales and prints all
-//! result tables — the one-stop reproduction entry point referenced by
-//! EXPERIMENTS.md.
+//! result tables — the one-stop reproduction entry point.
 //!
 //! Usage: `cargo run --release -p pm-bench --bin reproduce_all`
 

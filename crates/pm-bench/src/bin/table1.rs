@@ -1,4 +1,4 @@
-//! Regenerates the empirical Table 1 (experiment T1 in DESIGN.md).
+//! Regenerates the empirical Table 1 (experiment T1).
 //!
 //! Usage: `cargo run --release -p pm-bench --bin table1 [scale]`
 //! where `scale` is the hexagon radius of the mixed family (default 6).

@@ -6,8 +6,9 @@
 //! Two sections are measured:
 //!
 //! * per-scenario single-run latency and activations/second;
-//! * the whole scenario set through [`BatchRunner`], sequential (1 thread)
-//!   vs sharded (all cores), asserting the reports are identical.
+//! * the whole scenario set run to completion on a [`SessionScheduler`]
+//!   (unbounded slice), sequential (1 thread) vs sharded (all cores),
+//!   asserting the reports are identical.
 //!
 //! If `BENCH_baseline.json` exists at the repo root (numbers measured on an
 //! earlier revision with this same binary), each scenario also reports the
@@ -18,8 +19,9 @@
 
 use pm_amoebot::scheduler::SeededRandom;
 use pm_bench::arg_or;
-use pm_core::api::{Election, PaperPipeline, RunReport};
-use pm_core::batch::{BatchRunner, BatchScenario, SchedulerSpec};
+use pm_core::api::{Election, LeaderElection, PaperPipeline, RunOptions, RunReport};
+use pm_core::session::{no_hook, Goal, SessionScheduler};
+use pm_core::SchedulerSpec;
 use pm_grid::Shape;
 use pm_scenarios::GeneratorSpec;
 use serde_json::Value;
@@ -149,20 +151,38 @@ fn load_baseline(path: &std::path::Path) -> Vec<(String, f64)> {
     out
 }
 
-/// Measures the full scenario set through the batch runner with the given
-/// thread count; returns (elapsed_ms, reports).
+/// Measures the full scenario set run to completion on the session
+/// scheduler with the given thread count; returns (elapsed_ms, reports).
 fn timed_batch(max_n: u32, threads: usize) -> (f64, Vec<RunReport>) {
-    let batch: Vec<BatchScenario> = scenarios(max_n)
-        .into_iter()
-        .map(|s| BatchScenario::new(s.label, s.shape).scheduler(SchedulerSpec::SeededRandom(7)))
-        .collect();
-    let runner = BatchRunner::with_threads(threads);
+    let shapes: Vec<Shape> = scenarios(max_n).into_iter().map(|s| s.shape).collect();
     let start = Instant::now();
-    let results = runner.run(&PaperPipeline, batch);
+    let mut scheduler: SessionScheduler = SessionScheduler::with_threads(u64::MAX, threads);
+    let ids: Vec<_> = shapes
+        .iter()
+        .map(|shape| {
+            let execution = PaperPipeline
+                .start_owned(
+                    shape,
+                    SchedulerSpec::SeededRandom(7).build(),
+                    &RunOptions::default(),
+                )
+                .expect("every scenario shape is connected");
+            let id = scheduler.admit(execution, ());
+            scheduler.set_goal(id, Goal::Complete);
+            id
+        })
+        .collect();
+    while scheduler.sweep(&no_hook) > 0 {}
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    let reports = results
+    let reports = ids
         .into_iter()
-        .map(|r| r.expect("every scenario elects"))
+        .map(|id| {
+            scheduler
+                .outcome(id)
+                .expect("swept to completion")
+                .clone()
+                .expect("every scenario elects")
+        })
         .collect();
     (elapsed_ms, reports)
 }
@@ -225,7 +245,8 @@ fn main() {
     // Batch section: the same scenario set, sequential vs thread-sharded,
     // with identical reports required.
     let (sequential_ms, sequential_reports) = timed_batch(max_n, 1);
-    let (parallel_ms, parallel_reports) = timed_batch(max_n, BatchRunner::new().threads());
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (parallel_ms, parallel_reports) = timed_batch(max_n, threads);
     assert_eq!(
         sequential_reports, parallel_reports,
         "sharded batch must be bit-identical to the sequential batch"
@@ -235,7 +256,7 @@ fn main() {
         "\nbatch of {}: sequential {:.2} ms, {} threads {:.2} ms ({:.2}x)",
         sequential_reports.len(),
         sequential_ms,
-        BatchRunner::new().threads(),
+        threads,
         parallel_ms,
         parallel_speedup,
     );
@@ -254,10 +275,7 @@ fn main() {
                     "scenarios".to_string(),
                     Value::UInt(sequential_reports.len() as u64),
                 ),
-                (
-                    "threads".to_string(),
-                    Value::UInt(BatchRunner::new().threads() as u64),
-                ),
+                ("threads".to_string(), Value::UInt(threads as u64)),
                 ("sequential_ms".to_string(), Value::Float(sequential_ms)),
                 ("parallel_ms".to_string(), Value::Float(parallel_ms)),
                 (

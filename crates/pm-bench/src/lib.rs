@@ -6,8 +6,7 @@
 //! * The Criterion benches under `benches/` measure the wall-clock cost of
 //!   the simulator itself (geometry, DLE, OBD, Collect, full pipeline) so
 //!   regressions in the implementation are visible; the *round counts* that
-//!   reproduce the paper's claims are printed by the binaries and recorded in
-//!   `EXPERIMENTS.md`.
+//!   reproduce the paper's claims are printed by the binaries.
 
 use pm_analysis::Table;
 

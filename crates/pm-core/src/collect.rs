@@ -17,7 +17,7 @@
 //! is connected (Lemma 20), so the algorithm terminates with a connected
 //! system.
 //!
-//! ## Fidelity note (see DESIGN.md §3)
+//! ## Fidelity note
 //!
 //! This module simulates Collect at the granularity of the three movement
 //! primitives: the geometry of each phase (which particles are collected,

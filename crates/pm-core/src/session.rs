@@ -1,10 +1,5 @@
-//! Multi-tenant session scheduling over owned [`Execution`] handles.
-//!
-//! The batch runner ([`crate::batch`]) finishes each election eagerly —
-//! right for experiment sweeps, wrong for a long-lived server where
-//! thousands of elections are *live at once* and progress must be fair:
-//! a giant workload must not starve the small ones, and any session must be
-//! pausable, inspectable and cancellable between rounds.
+//! Multi-tenant session scheduling over owned [`Execution`] handles — the
+//! one engine behind every multi-election caller.
 //!
 //! [`SessionScheduler`] holds owned executions
 //! ([`crate::api::LeaderElection::start_owned`]) and advances them
@@ -15,6 +10,15 @@
 //! thread count never changes any session's observable behaviour). What
 //! "runnable" means is per-session policy ([`Goal`]): parked, run until a
 //! round target, or run to completion.
+//!
+//! The slice picks the use. The session server keeps thousands of
+//! elections live at once with a small slice, so a giant workload cannot
+//! starve the small ones and any session can be paused, inspected or
+//! cancelled between rounds. Experiment sweeps (the scenario runner, the
+//! Table 1 grid, the throughput bench) admit every run with
+//! [`Goal::Complete`] and an unbounded slice, so one sweep finishes them
+//! all; sharded sweeps hand sessions to worker threads one at a time, and
+//! results are read back per session id, in submission order.
 //!
 //! # Checkpoints
 //!
@@ -38,10 +42,55 @@
 //! baselines) fall back to the full replay path.
 
 use crate::api::{ElectionError, Execution, ExecutionStatus, RunReport, StepOutcome};
+use pm_amoebot::scheduler::{
+    DoubleActivation, ReverseRoundRobin, RoundRobin, Scheduler, SeededRandom,
+};
 use pm_telemetry::trace;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// A buildable, sendable description of a scheduler.
+///
+/// Scenarios cross thread boundaries, so they carry a *description* of the
+/// scheduler rather than a live `dyn Scheduler`; every run builds a fresh
+/// instance, which also guarantees random streams never leak between runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SchedulerSpec {
+    /// Creation order, once per round.
+    RoundRobin,
+    /// Reverse creation order, once per round.
+    ReverseRoundRobin,
+    /// A fresh uniformly random order each round, from the given seed.
+    SeededRandom(u64),
+    /// Every particle twice per round (forward then backward).
+    DoubleActivation,
+}
+
+impl SchedulerSpec {
+    /// Builds a fresh scheduler instance (`Send`, so built schedulers can
+    /// back owned executions parked across threads).
+    pub fn build(&self) -> Box<dyn Scheduler + Send> {
+        match self {
+            SchedulerSpec::RoundRobin => Box::new(RoundRobin),
+            SchedulerSpec::ReverseRoundRobin => Box::new(ReverseRoundRobin),
+            SchedulerSpec::SeededRandom(seed) => Box::new(SeededRandom::new(*seed)),
+            SchedulerSpec::DoubleActivation => Box::new(DoubleActivation),
+        }
+    }
+
+    /// The name the built scheduler reports (`Scheduler::name`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            SchedulerSpec::RoundRobin => "round-robin",
+            SchedulerSpec::ReverseRoundRobin => "reverse-round-robin",
+            SchedulerSpec::SeededRandom(_) => "seeded-random",
+            SchedulerSpec::DoubleActivation => "double-activation",
+        }
+    }
+}
 
 /// Identifies one live session within a [`SessionScheduler`]. Ids are
 /// assigned sequentially from 1 and never reused, so a scripted request
@@ -510,22 +559,30 @@ impl<P: Send> SessionScheduler<P> {
                 })
                 .sum()
         } else {
-            // Contiguous shards: any partition yields identical results
-            // because sessions never interact — the shard boundary is pure
-            // wall-clock.
-            let shard = runnable.len().div_ceil(workers);
+            // Workers claim runnable slots one at a time from a shared
+            // cursor, so a few long sessions spread over the workers
+            // instead of landing in one contiguous shard. Any assignment
+            // yields identical results because sessions never interact. The
+            // cursor publishes nothing but the index: each slot's data
+            // reaches its worker through the slot's mutex, and back through
+            // the scoped join.
+            let cursor = AtomicUsize::new(0);
+            let claims: Vec<Mutex<(SessionId, &mut Slot<P>)>> =
+                runnable.into_iter().map(Mutex::new).collect();
             std::thread::scope(|scope| {
-                runnable
-                    .chunks_mut(shard)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .iter_mut()
-                                .map(|(id, slot)| {
-                                    let _slice = slice_span(*id);
-                                    slot.advance(slice, hook)
-                                })
-                                .sum::<u64>()
+                (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut steps = 0;
+                            while let Some(claim) =
+                                claims.get(cursor.fetch_add(1, Ordering::Relaxed))
+                            {
+                                let mut claim = claim.lock().expect("each slot is claimed once");
+                                let (id, slot) = &mut *claim;
+                                let _slice = slice_span(*id);
+                                steps += slot.advance(slice, hook);
+                            }
+                            steps
                         })
                     })
                     .collect::<Vec<_>>()
@@ -662,8 +719,8 @@ impl<P: Send> SessionScheduler<P> {
 mod tests {
     use super::*;
     use crate::api::{LeaderElection, PaperPipeline, RunOptions};
-    use crate::batch::SchedulerSpec;
-    use pm_grid::builder::{annulus, hexagon};
+    use pm_grid::builder::{annulus, hexagon, line};
+    use pm_grid::Shape;
 
     fn start(seed: u64) -> Execution<'static> {
         PaperPipeline
@@ -701,25 +758,39 @@ mod tests {
 
     #[test]
     fn sweeps_are_fair_and_bounded() {
-        let mut scheduler: SessionScheduler = SessionScheduler::new(4);
-        let a = scheduler.admit(start(1), ());
-        let b = scheduler.admit(start(2), ());
-        scheduler.set_goal(a, Goal::Complete);
-        scheduler.set_goal(b, Goal::Complete);
-        let steps = scheduler.sweep(&no_hook);
-        assert_eq!(steps, 8, "both sessions got exactly their slice");
-        let (va, vb) = (
-            scheduler.view(a).unwrap().steps,
-            scheduler.view(b).unwrap().steps,
-        );
-        assert_eq!((va, vb), (4, 4));
+        for threads in [1, 2] {
+            let mut scheduler: SessionScheduler = SessionScheduler::with_threads(4, threads);
+            let a = scheduler.admit(start(1), ());
+            let b = scheduler.admit(start(2), ());
+            scheduler.set_goal(a, Goal::Complete);
+            scheduler.set_goal(b, Goal::Complete);
+            let steps = scheduler.sweep(&no_hook);
+            assert_eq!(steps, 8, "both sessions got exactly their slice");
+            let (va, vb) = (
+                scheduler.view(a).unwrap().steps,
+                scheduler.view(b).unwrap().steps,
+            );
+            assert_eq!((va, vb), (4, 4));
+        }
     }
 
     #[test]
     fn threaded_sweeps_equal_sequential_sweeps() {
-        let run = |threads: usize| -> Vec<RunReport> {
-            let mut scheduler: SessionScheduler = SessionScheduler::with_threads(16, threads);
-            let ids: Vec<SessionId> = (0..6).map(|s| scheduler.admit(start(s), ())).collect();
+        let run = |shapes: &[Shape], slice: u64, threads: usize| -> Vec<RunReport> {
+            let mut scheduler: SessionScheduler = SessionScheduler::with_threads(slice, threads);
+            let ids: Vec<SessionId> = (0..)
+                .zip(shapes)
+                .map(|(seed, shape)| {
+                    let execution = PaperPipeline
+                        .start_owned(
+                            shape,
+                            SchedulerSpec::SeededRandom(seed).build(),
+                            &RunOptions::default(),
+                        )
+                        .expect("valid configuration");
+                    scheduler.admit(execution, ())
+                })
+                .collect();
             for &id in &ids {
                 scheduler.set_goal(id, Goal::Complete);
             }
@@ -735,9 +806,34 @@ mod tests {
                 })
                 .collect()
         };
-        let sequential = run(1);
-        assert_eq!(sequential, run(2));
-        assert_eq!(sequential, run(8));
+        let equal = vec![annulus(4, 2); 6];
+        // One large session among small ones, run to completion in a
+        // single sweep: the workers' shares of the work are very uneven.
+        let uneven = [
+            hexagon(1),
+            hexagon(12),
+            hexagon(1),
+            hexagon(6),
+            line(3),
+            hexagon(2),
+        ];
+        for (shapes, slice) in [(&equal[..], 16), (&uneven[..], u64::MAX)] {
+            let sequential = run(shapes, slice, 1);
+            assert_eq!(sequential, run(shapes, slice, 2));
+            assert_eq!(sequential, run(shapes, slice, 8));
+        }
+    }
+
+    #[test]
+    fn scheduler_specs_build_what_they_name() {
+        for spec in [
+            SchedulerSpec::RoundRobin,
+            SchedulerSpec::ReverseRoundRobin,
+            SchedulerSpec::SeededRandom(7),
+            SchedulerSpec::DoubleActivation,
+        ] {
+            assert_eq!(spec.build().name(), spec.name());
+        }
     }
 
     #[test]

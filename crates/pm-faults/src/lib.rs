@@ -29,7 +29,7 @@
 use pm_amoebot::scheduler::Scheduler;
 use pm_amoebot::system::SystemControl;
 use pm_core::api::{phase, ElectionError, Execution, LeaderElection, RunOptions, RunReport};
-use pm_core::batch::SchedulerSpec;
+use pm_core::SchedulerSpec;
 use pm_grid::{Point, Shape};
 use pm_telemetry::trace;
 use rand::rngs::StdRng;

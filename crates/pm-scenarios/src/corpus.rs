@@ -16,7 +16,7 @@ use crate::perturb::PerturbationSpec;
 use crate::spec::{AlgorithmSpec, ScenarioSpec};
 use pm_amoebot::system::OccupancyBackend;
 use pm_core::api::RunOptions;
-use pm_core::batch::SchedulerSpec;
+use pm_core::SchedulerSpec;
 use pm_faults::{FaultKind, FaultPlan, FaultProcess, ResetPolicy};
 
 /// The committed corpus JSON, embedded so the CLI runs from any directory.

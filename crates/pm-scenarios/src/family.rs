@@ -12,7 +12,7 @@ use crate::generators::GeneratorSpec;
 use crate::perturb::PerturbationSpec;
 use crate::spec::{AlgorithmSpec, ScenarioSpec};
 use pm_core::api::RunOptions;
-use pm_core::batch::SchedulerSpec;
+use pm_core::SchedulerSpec;
 use pm_faults::FaultSpec;
 use serde::{Deserialize, Serialize};
 

@@ -8,19 +8,21 @@
 //!   single re-export surface for the underlying builder functions.
 //! * [`spec`] — [`ScenarioSpec`]: one election run as a JSON value (shape,
 //!   algorithm, scheduler, [`RunOptions`](pm_core::api::RunOptions) knobs,
-//!   perturbation script).
+//!   perturbation script), and [`ScenarioSpec::start`], the one start path
+//!   for a scenario run.
 //! * [`perturb`] — mid-run fault injection: remove-k-at-round-r and
-//!   split-along-a-column events with reset-and-recover semantics, fired by
-//!   a caller-side driver loop over the steppable
+//!   split-along-a-column events with reset-and-recover semantics, fired
+//!   between steps of the steppable
 //!   [`Execution`](pm_core::api::Execution) handle.
 //! * [`script`] — [`ScenarioScript`]: the combined adversary of one run
 //!   (perturbation script plus the generalised `pm_faults::FaultPlan`),
-//!   driven by the same caller-side loop.
+//!   fired before each step by the [`apply_scripts`] hook.
 //! * [`family`] — scenario families: [`FamilySpec`] parameter grids
 //!   (sizes × seeds) that expand into concrete scenarios at load time.
 //! * [`corpus`] — the committed scenario corpus (`corpus/scenarios.json`,
 //!   concrete scenarios plus family grids) and suite selection.
-//! * [`runner`] — drives suites through `pm_core::batch::BatchRunner` and
+//! * [`runner`] — runs suites to completion on the
+//!   [`SessionScheduler`](pm_core::session::SessionScheduler) and
 //!   serializes the per-scenario [`RunReport`](pm_core::api::RunReport)s.
 //!
 //! The `pm-scenarios` binary (owned by the `pm-server` crate, next to the
@@ -46,5 +48,5 @@ pub use family::{CorpusEntry, FamilySpec};
 pub use generators::GeneratorSpec;
 pub use perturb::{PerturbationScript, PerturbationSpec};
 pub use runner::{report_json, run_suite, ScenarioReport};
-pub use script::ScenarioScript;
-pub use spec::{AlgorithmSpec, ScenarioSpec};
+pub use script::{apply_scripts, ScenarioScript};
+pub use spec::{AlgorithmSpec, ScenarioSpec, StartedScenario};

@@ -4,12 +4,13 @@
 //! the election's round-driven phase (`dle` for the paper pipeline,
 //! `election` for the erosion baseline): remove particles at random, or cut
 //! the configuration along a grid column (the split/reconnect dynamic of the
-//! paper's reconnection variant). [`PerturbationScript`] drives a steppable
-//! [`Execution`] from the caller's side, mutating the particle system
-//! through [`Execution::system`] exactly before the scripted rounds run —
-//! the mid-run mutations flow through the same invalidate-on-mutation
-//! analysis cache as ordinary shape edits, and the fault logic is a plain
-//! loop over [`Execution::step_round`], not an observer callback.
+//! paper's reconnection variant). [`PerturbationScript::apply_due`] is
+//! called by whoever steps an [`Execution`] (the session scheduler's step
+//! hook, or the CLI's `trace` loop) and mutates the particle system through
+//! [`Execution::system`] exactly before the scripted rounds run — the
+//! mid-run mutations flow through the same invalidate-on-mutation analysis
+//! cache as ordinary shape edits, and the fault logic sits in the caller's
+//! loop over [`Execution::step_round`], not in an observer callback.
 //!
 //! **Reset-and-recover semantics.** After mutating, every perturbation
 //! re-initializes the surviving particles from the perturbed configuration:
@@ -23,7 +24,7 @@
 //! what the report shows.
 
 use pm_amoebot::system::SystemControl;
-use pm_core::api::{phase, ElectionError, Execution, RunReport, StepOutcome};
+use pm_core::api::{phase, Execution};
 use pm_faults::prune_to_largest_component;
 use pm_grid::Point;
 use pm_telemetry::trace;
@@ -111,8 +112,8 @@ impl fmt::Display for PerturbationSpec {
     }
 }
 
-/// A perturbation script bound to one run: drives a steppable
-/// [`Execution`], firing each event at most once, exactly before the first
+/// A perturbation script bound to one run of a steppable [`Execution`]:
+/// fires each event at most once, exactly before the first
 /// phase round matching its `round` field. Events scheduled for rounds the
 /// election never reaches simply never fire.
 #[derive(Clone, Debug)]
@@ -205,41 +206,6 @@ impl PerturbationScript {
         }
         fired_now
     }
-
-    /// Drives the execution to completion, firing the script's events at
-    /// their rounds, and returns the final report.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the underlying election surfaces
-    /// (see [`LeaderElection::elect`]).
-    ///
-    /// [`LeaderElection::elect`]: pm_core::api::LeaderElection::elect
-    pub fn drive(&mut self, execution: Execution<'_>) -> Result<RunReport, ElectionError> {
-        self.drive_with(execution, |_, _| {})
-    }
-
-    /// Like [`PerturbationScript::drive`], invoking `on_step` with every
-    /// step outcome and the execution (for status inspection) — the hook
-    /// behind the `pm-scenarios trace` subcommand.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PerturbationScript::drive`].
-    pub fn drive_with(
-        &mut self,
-        mut execution: Execution<'_>,
-        mut on_step: impl FnMut(&StepOutcome, &Execution<'_>),
-    ) -> Result<RunReport, ElectionError> {
-        loop {
-            self.apply_due(&mut execution);
-            let outcome = execution.step_round()?;
-            on_step(&outcome, &execution);
-            if let StepOutcome::Finished(report) = outcome {
-                return Ok(report);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -247,22 +213,31 @@ mod tests {
     use super::*;
     use crate::generators::GeneratorSpec;
     use pm_amoebot::scheduler::SeededRandom;
-    use pm_core::api::{LeaderElection, PaperPipeline, RunOptions};
+    use pm_core::api::{LeaderElection, PaperPipeline, RunOptions, RunReport, StepOutcome};
+
+    /// Steps the execution to completion, firing due events before every
+    /// step.
+    fn drive(script: &mut PerturbationScript, mut execution: Execution<'_>) -> RunReport {
+        loop {
+            script.apply_due(&mut execution);
+            if let StepOutcome::Finished(report) = execution.step_round().expect("election runs") {
+                return report;
+            }
+        }
+    }
 
     fn perturbed_run(
         spec: GeneratorSpec,
         perturbations: Vec<PerturbationSpec>,
         opts: RunOptions,
-    ) -> pm_core::api::RunReport {
+    ) -> RunReport {
         let shape = spec.build();
         let mut script = PerturbationScript::new(perturbations);
         let mut scheduler = SeededRandom::new(7);
         let execution = PaperPipeline
             .start(&shape, &mut scheduler, &opts)
             .expect("permitted initial configuration");
-        script
-            .drive(execution)
-            .expect("perturbed election terminates")
+        drive(&mut script, execution)
     }
 
     #[test]
@@ -335,7 +310,7 @@ mod tests {
         let execution = PaperPipeline
             .start(&shape, &mut scheduler, &RunOptions::default())
             .unwrap();
-        let report = script.drive(execution).unwrap();
+        let report = drive(&mut script, execution);
         assert_eq!(script.fired(), 0);
         assert_eq!(script.removed(), 0);
         assert_eq!(report.final_positions.len(), report.n);

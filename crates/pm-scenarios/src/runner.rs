@@ -1,9 +1,9 @@
-//! Driving scenario suites through the thread-sharded batch runner.
+//! Driving scenario suites through the session scheduler.
 
-use crate::script::ScenarioScript;
+use crate::script::apply_scripts;
 use crate::spec::ScenarioSpec;
-use pm_core::api::{ElectionError, Execution, RunReport};
-use pm_core::batch::{BatchJob, BatchRunner, BatchScenario};
+use pm_core::api::RunReport;
+use pm_core::session::{Goal, SessionId, SessionScheduler};
 use serde::{Deserialize, Serialize};
 
 /// The outcome of one scenario: either a full [`RunReport`] or the error the
@@ -31,98 +31,40 @@ pub struct ScenarioReport {
     pub error: Option<String>,
 }
 
-/// Runs a suite through [`BatchRunner`] with the given worker count.
+/// Runs a suite on a [`SessionScheduler`] sharding its sweep over
+/// `threads` workers: every scenario is admitted with [`Goal::Complete`]
+/// and an unbounded slice, with its
+/// [`ScenarioScript`](crate::ScenarioScript) fired before each step exactly
+/// as the server does.
 ///
 /// Results come back in scenario order and are **bit-identical across thread
 /// counts and repeated runs**: every shape, scheduler, perturbation and fault
-/// firing is seeded, the batch merge is deterministic, and each adversarial
-/// run's combined script is a fresh [`ScenarioScript`] built inside the
-/// worker.
+/// firing is seeded, sessions never interact, and each scenario's report is
+/// read back by its own session id. A scenario that fails to start
+/// ([`ScenarioSpec::start`]) reports the error at its own index.
 pub fn run_suite(specs: &[&ScenarioSpec], threads: usize) -> Vec<ScenarioReport> {
-    type BoxedDriver =
-        Box<dyn for<'s> Fn(Execution<'s>) -> Result<RunReport, ElectionError> + Sync>;
-    /// Drives one execution under a fresh script instance — built per *run*
-    /// (inside the worker), so batched adversarial runs equal sequential
-    /// ones.
-    fn drive_scripted(
-        spec: &ScenarioSpec,
-        execution: Execution<'_>,
-    ) -> Result<RunReport, ElectionError> {
-        ScenarioScript::for_spec(spec).drive(execution)
-    }
-    let drivers: Vec<Option<BoxedDriver>> = specs
+    let mut scheduler = SessionScheduler::with_threads(u64::MAX, threads);
+    let sessions: Vec<Result<(SessionId, usize), String>> = specs
         .iter()
         .map(|spec| {
-            if spec.is_adversarial() {
-                let spec = (*spec).clone();
-                let driver: BoxedDriver =
-                    Box::new(move |execution| drive_scripted(&spec, execution));
-                Some(driver)
-            } else {
-                None
-            }
+            let started = spec.start()?;
+            let id = scheduler.admit(started.execution, started.script);
+            scheduler.set_goal(id, Goal::Complete);
+            Ok((id, started.n))
         })
         .collect();
-
-    // A perturbation script or fault plan on an algorithm with no
-    // round-driven phase would never fire; reject the scenario up front
-    // rather than report a fault-free run as adversarial.
-    let rejections: Vec<Option<String>> = specs
-        .iter()
-        .map(|spec| {
-            if spec.is_adversarial() && !spec.algorithm.supports_perturbations() {
-                let what = if spec.perturbations.is_empty() {
-                    "fault plan"
-                } else {
-                    "perturbation script"
-                };
-                Some(format!(
-                    "{what} attached to `{}`, which runs no round-driven \
-                     phase — the script would never fire",
-                    spec.algorithm.name()
-                ))
-            } else {
-                None
-            }
-        })
-        .collect();
-
-    let shapes: Vec<_> = specs.iter().map(|spec| spec.build_shape()).collect();
-    let sizes: Vec<usize> = shapes.iter().map(|shape| shape.len()).collect();
-    let mut jobs = Vec::with_capacity(specs.len());
-    for (((spec, driver), rejection), shape) in
-        specs.iter().zip(&drivers).zip(&rejections).zip(shapes)
-    {
-        if rejection.is_some() {
-            continue;
-        }
-        let mut job = BatchJob::new(
-            spec.algorithm.instance(),
-            BatchScenario::new(spec.name.clone(), shape)
-                .options(spec.options)
-                .scheduler(spec.scheduler),
-        );
-        if let Some(driver) = driver {
-            job = job.driven(driver.as_ref());
-        }
-        jobs.push(job);
-    }
-
-    let mut results = BatchRunner::with_threads(threads)
-        .run_jobs(jobs)
-        .into_iter();
+    while scheduler.sweep(&apply_scripts) > 0 {}
 
     specs
         .iter()
-        .zip(sizes)
-        .zip(rejections)
-        .map(|((spec, n), rejection)| {
-            let (ok, report, error) = match rejection {
-                Some(why) => (false, None, Some(why)),
-                None => match results.next().expect("one result per accepted job") {
-                    Ok(report) => (true, Some(report), None),
-                    Err(e) => (false, None, Some(e.to_string())),
-                },
+        .zip(sessions)
+        .map(|(spec, session)| {
+            let (n, outcome) = match session {
+                Ok((id, n)) => {
+                    let outcome = scheduler.outcome(id).expect("swept to completion");
+                    (n, outcome.clone().map_err(|e| e.to_string()))
+                }
+                Err(why) => (spec.build_shape().len(), Err(why)),
             };
             ScenarioReport {
                 scenario: spec.name.clone(),
@@ -131,9 +73,9 @@ pub fn run_suite(specs: &[&ScenarioSpec], threads: usize) -> Vec<ScenarioReport>
                 n,
                 perturbations: spec.perturbations.len(),
                 faults: spec.faults.processes.len(),
-                ok,
-                report,
-                error,
+                ok: outcome.is_ok(),
+                error: outcome.as_ref().err().cloned(),
+                report: outcome.ok(),
             }
         })
         .collect()
@@ -151,6 +93,7 @@ pub fn report_json(reports: &[ScenarioReport]) -> String {
 mod tests {
     use super::*;
     use crate::corpus::{builtin_corpus, select, FAULTS, SMOKE};
+    use pm_faults::FaultProcess;
 
     #[test]
     fn suite_results_are_identical_across_thread_counts() {
@@ -185,7 +128,7 @@ mod tests {
     fn fault_plans_on_closed_form_baselines_are_rejected() {
         use crate::generators::GeneratorSpec;
         use crate::spec::{AlgorithmSpec, ScenarioSpec};
-        use pm_faults::{FaultKind, FaultPlan, FaultProcess};
+        use pm_faults::{FaultKind, FaultPlan};
         let spec = ScenarioSpec::new("bad-faults", GeneratorSpec::Hexagon { radius: 3 })
             .algorithm(AlgorithmSpec::QuadraticBoundary)
             .faults(FaultPlan::new(3).process(FaultProcess::once(FaultKind::Removals, 1, 2)));
@@ -238,6 +181,43 @@ mod tests {
             report.final_positions.len(),
             report.leaders + report.followers
         );
+    }
+
+    #[test]
+    fn failed_runs_report_at_their_own_index() {
+        use crate::generators::GeneratorSpec;
+        use crate::spec::{AlgorithmSpec, ScenarioSpec};
+        use pm_faults::{FaultKind, FaultPlan};
+        let ok = ScenarioSpec::new("ok", GeneratorSpec::Hexagon { radius: 2 });
+        // Start fails: the script could never fire on a closed-form baseline.
+        let rejected = ScenarioSpec::new("rejected", GeneratorSpec::Hexagon { radius: 2 })
+            .algorithm(AlgorithmSpec::QuadraticBoundary)
+            .faults(FaultPlan::new(3).process(FaultProcess::once(FaultKind::Removals, 1, 2)));
+        // Starts, then stalls: erosion on a shape with a hole.
+        let stuck = ScenarioSpec::new("stuck", GeneratorSpec::Annulus { outer: 4, inner: 1 })
+            .algorithm(AlgorithmSpec::Erosion);
+        let reports = run_suite(&[&ok, &rejected, &ok, &stuck, &ok], 2);
+        let ok_flags: Vec<bool> = reports.iter().map(|r| r.ok).collect();
+        assert_eq!(ok_flags, [true, false, true, false, true]);
+        let alone = run_suite(&[&ok], 1).remove(0);
+        for i in [0, 2, 4] {
+            assert_eq!(reports[i], alone);
+        }
+        assert_eq!(reports[1].scenario, "rejected");
+        assert_eq!(reports[1].n, 19);
+        let error = reports[1].error.as_deref().unwrap_or_default();
+        assert!(error.contains("would never fire"), "{error}");
+        assert_eq!(reports[3].scenario, "stuck");
+        let direct = AlgorithmSpec::Erosion
+            .instance()
+            .elect(
+                &stuck.build_shape(),
+                &mut *stuck.scheduler.build(),
+                &stuck.options,
+            )
+            .expect_err("erosion stalls on holes");
+        assert_eq!(reports[3].error, Some(direct.to_string()));
+        assert!(run_suite(&[], 2).is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::perturb::{PerturbationScript, PerturbationSpec};
 use crate::spec::ScenarioSpec;
-use pm_core::api::{ElectionError, Execution, RunReport, StepOutcome};
+use pm_core::api::Execution;
 use pm_faults::{FaultProcess, FaultScript, FaultSpec};
 
 /// One scenario's full adversarial script: perturbation events plus the
@@ -73,24 +73,14 @@ impl ScenarioScript {
     pub fn apply_due(&mut self, execution: &mut Execution<'_>) -> usize {
         self.perturbations.apply_due(execution) + self.faults.apply_due(execution)
     }
+}
 
-    /// Drives the execution to completion, firing due script entries before
-    /// every round, and returns the final report.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the underlying election surfaces
-    /// (see [`LeaderElection::elect`]).
-    ///
-    /// [`LeaderElection::elect`]: pm_core::api::LeaderElection::elect
-    pub fn drive(&mut self, mut execution: Execution<'_>) -> Result<RunReport, ElectionError> {
-        loop {
-            self.apply_due(&mut execution);
-            if let StepOutcome::Finished(report) = execution.step_round()? {
-                return Ok(report);
-            }
-        }
-    }
+/// The [`SessionScheduler`](pm_core::session::SessionScheduler) step hook
+/// for scenario sessions: fires the session's due script entries before
+/// each step. Live sweeps and checkpoint replay share it, so restored and
+/// sharded suite runs reproduce adversarial runs exactly.
+pub fn apply_scripts(script: &mut ScenarioScript, execution: &mut Execution<'static>) {
+    script.apply_due(execution);
 }
 
 #[cfg(test)]
@@ -98,7 +88,7 @@ mod tests {
     use super::*;
     use crate::generators::GeneratorSpec;
     use crate::spec::AlgorithmSpec;
-    use pm_core::api::RunOptions;
+    use pm_core::session::{Goal, SessionScheduler};
     use pm_faults::{FaultKind, FaultPlan};
 
     fn faulted_spec() -> ScenarioSpec {
@@ -116,15 +106,13 @@ mod tests {
     fn combined_scripts_fire_both_halves_deterministically() {
         let spec = faulted_spec();
         let run = || {
-            let shape = spec.build_shape();
-            let mut scheduler = spec.scheduler.build();
-            let execution = spec
-                .algorithm
-                .instance()
-                .start(&shape, &mut *scheduler, &RunOptions::default())
-                .unwrap();
-            let mut script = ScenarioScript::for_spec(&spec);
-            let report = script.drive(execution).unwrap();
+            let started = spec.start().unwrap();
+            let mut scheduler = SessionScheduler::new(u64::MAX);
+            let id = scheduler.admit(started.execution, started.script);
+            scheduler.set_goal(id, Goal::Complete);
+            scheduler.drive(id, &apply_scripts);
+            let report = scheduler.outcome(id).unwrap().clone().unwrap();
+            let script = scheduler.payload(id).unwrap();
             (script.fired(), script.faults().corrupted(), report)
         };
         let (fired, corrupted, report) = run();

@@ -2,11 +2,12 @@
 
 use crate::generators::GeneratorSpec;
 use crate::perturb::PerturbationSpec;
+use crate::script::ScenarioScript;
 use pm_baselines::{
     ErosionLeaderElection, QuadraticBoundary, RandomizedBoundary, SelfStabMaxElection,
 };
-use pm_core::api::{LeaderElection, PaperPipeline, RunOptions};
-use pm_core::batch::SchedulerSpec;
+use pm_core::api::{Execution, LeaderElection, PaperPipeline, RunOptions};
+use pm_core::SchedulerSpec;
 use pm_faults::FaultSpec;
 use pm_grid::Shape;
 use serde::{Deserialize, Serialize};
@@ -69,6 +70,16 @@ impl AlgorithmSpec {
             AlgorithmSpec::Pipeline | AlgorithmSpec::Erosion | AlgorithmSpec::SelfStabMax
         )
     }
+}
+
+/// A scenario started by [`ScenarioSpec::start`].
+pub struct StartedScenario {
+    /// The owned execution, positioned before its first phase.
+    pub execution: Execution<'static>,
+    /// The scenario's adversarial script, to fire before every step.
+    pub script: ScenarioScript,
+    /// The initial particle count.
+    pub n: usize,
 }
 
 /// One named, fully declarative election scenario: a generated shape, the
@@ -162,6 +173,45 @@ impl ScenarioSpec {
         self.generator.build()
     }
 
+    /// Starts the scenario: builds its shape, starts an owned execution of
+    /// its algorithm under a fresh scheduler, and pairs it with the
+    /// scenario's [`ScenarioScript`]. The one start path behind the suite
+    /// runner, the server's `submit`/`restore` and the CLI's `trace` and
+    /// `profile`.
+    ///
+    /// # Errors
+    ///
+    /// A perturbation script or fault plan on an algorithm with no
+    /// round-driven phase would never fire, so the scenario is rejected
+    /// rather than run fault-free as if it were adversarial. Otherwise the
+    /// message of the algorithm's start error (an empty or disconnected
+    /// shape).
+    pub fn start(&self) -> Result<StartedScenario, String> {
+        if self.is_adversarial() && !self.algorithm.supports_perturbations() {
+            let what = if self.perturbations.is_empty() {
+                "fault plan"
+            } else {
+                "perturbation script"
+            };
+            return Err(format!(
+                "{what} attached to `{}`, which runs no round-driven \
+                 phase — the script would never fire",
+                self.algorithm.name()
+            ));
+        }
+        let shape = self.build_shape();
+        let execution = self
+            .algorithm
+            .instance()
+            .start_owned(&shape, self.scheduler.build(), &self.options)
+            .map_err(|e| e.to_string())?;
+        Ok(StartedScenario {
+            execution,
+            script: ScenarioScript::for_spec(self),
+            n: shape.len(),
+        })
+    }
+
     /// Whether the scenario carries the given suite tag.
     pub fn has_tag(&self, tag: &str) -> bool {
         self.tags.iter().any(|t| t == tag)
@@ -171,6 +221,36 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn starts_pair_the_scenario_execution_with_its_script() {
+        let plain = ScenarioSpec::new("plain", GeneratorSpec::Annulus { outer: 4, inner: 2 })
+            .algorithm(AlgorithmSpec::SelfStabMax);
+        let started = plain.start().expect("valid scenario");
+        let shape = plain.build_shape();
+        assert_eq!(started.n, shape.len());
+        assert_eq!(started.script.entries(), 0);
+        let direct =
+            plain
+                .algorithm
+                .instance()
+                .elect(&shape, &mut *plain.scheduler.build(), &plain.options);
+        assert_eq!(started.execution.finish(), direct);
+
+        let perturbed = ScenarioSpec::new("perturbed", GeneratorSpec::Hexagon { radius: 3 })
+            .perturb(PerturbationSpec::RemoveRandom {
+                round: 1,
+                count: 2,
+                seed: 0,
+            });
+        assert_eq!(
+            perturbed.start().expect("valid scenario").script.entries(),
+            1
+        );
+        let rejected = perturbed.algorithm(AlgorithmSpec::RandomizedBoundary);
+        let error = rejected.start().err().expect("script could never fire");
+        assert!(error.starts_with("perturbation script attached"), "{error}");
+    }
 
     #[test]
     fn algorithm_specs_name_their_instances() {

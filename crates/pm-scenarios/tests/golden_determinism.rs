@@ -1,5 +1,5 @@
 //! Golden-file determinism: running the committed smoke suite produces
-//! byte-identical report JSON — twice in a row, across `BatchRunner` thread
+//! byte-identical report JSON — twice in a row, across scheduler thread
 //! counts, and against the committed golden file.
 
 use pm_scenarios::corpus::SMOKE;

@@ -3,7 +3,7 @@
 
 use pm_amoebot::system::OccupancyBackend;
 use pm_core::api::RunOptions;
-use pm_core::batch::SchedulerSpec;
+use pm_core::SchedulerSpec;
 use pm_faults::{FaultKind, FaultPlan, FaultProcess, ResetPolicy};
 use pm_scenarios::generators::FAMILY_COUNT;
 use pm_scenarios::{

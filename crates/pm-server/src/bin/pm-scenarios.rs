@@ -56,9 +56,7 @@
 use pm_amoebot::ascii::render_shape;
 use pm_core::api::StepOutcome;
 use pm_scenarios::corpus::{self, FAULTS, SMOKE};
-use pm_scenarios::{
-    report_json, run_suite, select, suite_tags, GeneratorSpec, ScenarioScript, ScenarioSpec,
-};
+use pm_scenarios::{report_json, run_suite, select, suite_tags, GeneratorSpec, ScenarioSpec};
 use pm_server::telemetry::as_micros;
 use pm_server::{Request, Response, ServeOptions, ServerCore, ServerLimits};
 use pm_telemetry::{info, logging, trace, Histogram, Level, Registry};
@@ -306,20 +304,13 @@ fn cmd_trace(specs: &[ScenarioSpec], name: &str, json: bool, profile: bool) -> R
         .iter()
         .find(|s| s.name == name)
         .ok_or_else(|| format!("no scenario named `{name}` (try `pm-scenarios list`)"))?;
-    if spec.is_adversarial() && !spec.algorithm.supports_perturbations() {
-        return Err(format!(
-            "scenario `{name}` attaches an adversarial script to `{}`, which runs no \
-             round-driven phase",
-            spec.algorithm.name()
-        ));
-    }
-    let shape = spec.build_shape();
+    let started = spec.start().map_err(|e| format!("start: {e}"))?;
     let header = format!(
         "tracing {} — {} (n = {}, algorithm = {}, scheduler = {}, {} perturbation event(s), \
          {} fault process(es))",
         spec.name,
         spec.generator,
-        shape.len(),
+        started.n,
         spec.algorithm.name(),
         spec.scheduler.name(),
         spec.perturbations.len(),
@@ -330,16 +321,10 @@ fn cmd_trace(specs: &[ScenarioSpec], name: &str, json: bool, profile: bool) -> R
     } else {
         println!("{header}");
     }
-    let mut scheduler = spec.scheduler.build();
-    let mut execution = spec
-        .algorithm
-        .instance()
-        .start(&shape, &mut *scheduler, &spec.options)
-        .map_err(|e| format!("start: {e}"))?;
+    let (mut execution, mut script) = (started.execution, started.script);
     if profile {
         execution.enable_profiling();
     }
-    let mut script = ScenarioScript::for_spec(spec);
     let report = loop {
         // The caller owns the loop: fire due events and fault processes
         // against the live system, then pump one step.
@@ -461,13 +446,6 @@ fn cmd_profile(specs: &[ScenarioSpec], name: &str, args: &Args) -> Result<(), St
         .iter()
         .find(|s| s.name == name)
         .ok_or_else(|| format!("no scenario named `{name}` (try `pm-scenarios list`)"))?;
-    if spec.is_adversarial() && !spec.algorithm.supports_perturbations() {
-        return Err(format!(
-            "scenario `{name}` attaches an adversarial script to `{}`, which runs no \
-             round-driven phase",
-            spec.algorithm.name()
-        ));
-    }
     if !trace::install(trace::DEFAULT_CAPACITY) {
         return Err("a trace recorder is already installed".to_string());
     }
@@ -560,15 +538,9 @@ fn cmd_profile(specs: &[ScenarioSpec], name: &str, args: &Args) -> Result<(), St
 /// instants from `Execution::step_round` itself, adversarial firings from
 /// the script.
 fn profile_run(spec: &ScenarioSpec) -> Result<pm_core::api::RunReport, String> {
-    let shape = spec.build_shape();
-    let mut scheduler = spec.scheduler.build();
-    let mut execution = spec
-        .algorithm
-        .instance()
-        .start(&shape, &mut *scheduler, &spec.options)
-        .map_err(|e| format!("start: {e}"))?;
+    let started = spec.start().map_err(|e| format!("start: {e}"))?;
+    let (mut execution, mut script) = (started.execution, started.script);
     execution.enable_profiling();
-    let mut script = ScenarioScript::for_spec(spec);
     let _session = trace::span("session", format!("session:{}", spec.name));
     let mut phase_span: Option<pm_telemetry::SpanGuard> = None;
     loop {

@@ -12,10 +12,11 @@
 use crate::persist::PersistDir;
 use crate::protocol::{Request, Response, ServerStats, SessionCheckpoint, SessionSummary};
 use crate::telemetry::{as_micros, ServerTelemetry};
-use pm_core::api::Execution;
 use pm_core::session::{Goal, SessionId, SessionScheduler};
 use pm_faults::FaultProcess;
-use pm_scenarios::{PerturbationSpec, ScenarioScript, ScenarioSpec};
+use pm_scenarios::{
+    apply_scripts, PerturbationSpec, ScenarioScript, ScenarioSpec, StartedScenario,
+};
 use pm_telemetry::{trace, warn};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -23,15 +24,6 @@ use std::time::{Duration, Instant};
 
 /// The log target every core-side line is tagged with.
 const LOG: &str = "pm_server::core";
-
-/// The per-step hook every session runs under: fire the session's due
-/// perturbation events and fault processes against the live system before
-/// the next round. Live stepping and checkpoint replay share this hook,
-/// which is what makes restored sessions reproduce adversarial runs
-/// exactly.
-fn apply_scripts(script: &mut ScenarioScript, execution: &mut Execution<'static>) {
-    script.apply_due(execution);
-}
 
 /// Resource bounds a server core enforces. The defaults bound nothing —
 /// existing embedded uses keep their unlimited behavior unless they opt in.
@@ -559,48 +551,31 @@ impl ServerCore {
         ServerCore::error(format!("no session {session}"))
     }
 
-    /// Starts an owned execution for a scenario — the shared path behind
-    /// `submit` and `restore`.
-    fn start(spec: &ScenarioSpec) -> Result<Execution<'static>, String> {
-        if spec.is_adversarial() && !spec.algorithm.supports_perturbations() {
-            let what = if spec.perturbations.is_empty() {
-                "fault plan"
-            } else {
-                "perturbation script"
-            };
-            return Err(format!(
-                "scenario `{}` attaches a {what} to `{}`, which runs no \
-                 round-driven phase",
-                spec.name,
-                spec.algorithm.name()
-            ));
-        }
-        let shape = spec.build_shape();
-        spec.algorithm
-            .instance()
-            .start_owned(&shape, spec.scheduler.build(), &spec.options)
-            .map_err(|e| format!("start `{}`: {e}", spec.name))
+    /// Starts a scenario for `submit` and `restore`, with the election
+    /// profiled: profiles feed the registry when the session finishes and
+    /// never touch the deterministic report fields or checkpoint replay.
+    fn start(spec: &ScenarioSpec) -> Result<StartedScenario, String> {
+        let mut started = spec
+            .start()
+            .map_err(|e| format!("start `{}`: {e}", spec.name))?;
+        started.execution.enable_profiling();
+        Ok(started)
     }
 
     fn submit(&mut self, spec: ScenarioSpec) -> Response {
         if let Some(busy) = self.at_budget() {
             return busy;
         }
-        let mut execution = match ServerCore::start(&spec) {
-            Ok(execution) => execution,
+        let started = match ServerCore::start(&spec) {
+            Ok(started) => started,
             Err(message) => return ServerCore::error(message),
         };
-        // Profiles feed the registry when the session finishes; they never
-        // touch the deterministic report fields or checkpoint replay.
-        execution.enable_profiling();
-        let n = spec.build_shape().len();
-        let script = ScenarioScript::for_spec(&spec);
-        let session = self.scheduler.admit(execution, script);
+        let session = self.scheduler.admit(started.execution, started.script);
         let response = Response::Submitted {
             session,
             name: spec.name.clone(),
             algorithm: spec.algorithm.name().to_string(),
-            n,
+            n: started.n,
         };
         self.specs.insert(session, spec);
         self.touch(session);
@@ -772,16 +747,16 @@ impl ServerCore {
         if let Some(busy) = self.at_budget() {
             return busy;
         }
-        let mut execution = match ServerCore::start(&checkpoint.spec) {
-            Ok(execution) => execution,
+        let started = match ServerCore::start(&checkpoint.spec) {
+            Ok(started) => started,
             Err(message) => return ServerCore::error(message),
         };
-        execution.enable_profiling();
-        let script = ScenarioScript::for_spec(&checkpoint.spec);
-        match self
-            .scheduler
-            .restore(execution, script, &checkpoint.execution, &apply_scripts)
-        {
+        match self.scheduler.restore(
+            started.execution,
+            started.script,
+            &checkpoint.execution,
+            &apply_scripts,
+        ) {
             Ok(session) => {
                 self.specs.insert(session, checkpoint.spec);
                 self.touch(session);

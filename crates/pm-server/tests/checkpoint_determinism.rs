@@ -6,8 +6,8 @@
 //! Error outcomes must survive the same round trip (erosion's stall).
 
 use pm_core::api::{ElectionError, Execution, RunReport};
-use pm_core::batch::SchedulerSpec;
 use pm_core::session::{no_hook, ExecutionCheckpoint, Goal, SessionScheduler};
+use pm_core::SchedulerSpec;
 use pm_scenarios::{AlgorithmSpec, GeneratorSpec, ScenarioSpec};
 
 fn start(spec: &ScenarioSpec) -> Execution<'static> {

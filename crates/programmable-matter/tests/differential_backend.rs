@@ -14,7 +14,7 @@ use pm_baselines::{
     ErosionLeaderElection, QuadraticBoundary, RandomizedBoundary, SelfStabMaxElection,
 };
 use pm_core::api::{ElectionError, LeaderElection, PaperPipeline, RunOptions, RunReport};
-use pm_core::batch::SchedulerSpec;
+use pm_core::SchedulerSpec;
 use pm_grid::random::{random_blob, random_holey_hexagon};
 use pm_grid::Shape;
 use proptest::prelude::*;
