@@ -719,7 +719,7 @@ impl<P: Send> SessionScheduler<P> {
 mod tests {
     use super::*;
     use crate::api::{LeaderElection, PaperPipeline, RunOptions};
-    use pm_grid::builder::{annulus, hexagon, line};
+    use pm_grid::builder::{annulus, hexagon, line, swiss_cheese};
     use pm_grid::Shape;
 
     fn start(seed: u64) -> Execution<'static> {
@@ -821,6 +821,58 @@ mod tests {
             let sequential = run(shapes, slice, 1);
             assert_eq!(sequential, run(shapes, slice, 2));
             assert_eq!(sequential, run(shapes, slice, 8));
+        }
+    }
+
+    #[test]
+    fn scheduler_runs_match_direct_elect_calls() {
+        let scenarios = [
+            (
+                hexagon(4),
+                SchedulerSpec::SeededRandom(0),
+                RunOptions::default(),
+            ),
+            (
+                annulus(5, 2),
+                SchedulerSpec::RoundRobin,
+                RunOptions::default(),
+            ),
+            (
+                swiss_cheese(5, 3),
+                SchedulerSpec::SeededRandom(0),
+                RunOptions::with_boundary_knowledge(),
+            ),
+            (
+                line(9),
+                SchedulerSpec::DoubleActivation,
+                RunOptions::default(),
+            ),
+            (
+                Shape::new(),
+                SchedulerSpec::SeededRandom(0),
+                RunOptions::default(),
+            ),
+        ];
+        for threads in [1, 2] {
+            let mut scheduler: SessionScheduler = SessionScheduler::with_threads(u64::MAX, threads);
+            let sessions: Vec<_> = scenarios
+                .iter()
+                .map(|(shape, spec, opts)| {
+                    PaperPipeline
+                        .start_owned(shape, spec.build(), opts)
+                        .map(|execution| {
+                            let id = scheduler.admit(execution, ());
+                            scheduler.set_goal(id, Goal::Complete);
+                            id
+                        })
+                })
+                .collect();
+            while scheduler.sweep(&no_hook) > 0 {}
+            for ((shape, spec, opts), session) in scenarios.iter().zip(sessions) {
+                let swept = session.and_then(|id| scheduler.outcome(id).expect("swept").clone());
+                let direct = PaperPipeline.elect(shape, &mut *spec.build(), opts);
+                assert_eq!(direct, swept, "n = {}, {threads} threads", shape.len());
+            }
         }
     }
 
