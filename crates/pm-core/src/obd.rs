@@ -29,10 +29,21 @@
 //! wins), the stable configurations, the ±6 decision rule, the outer-token
 //! walk and the flooding are all implemented as in the paper and validated
 //! against the geometric ground truth in the tests.
+//!
+//! Merges take effect in order of their charged completion round; when two
+//! complete in the same round, the one won by the segment with the lower id
+//! (the ring index of its tail v-node) goes first. The simulator's own cost
+//! on a ring of `L` v-nodes is `O(L log L)` events: a merge re-evaluates
+//! only the winner's and its predecessor's next merge, so at most `3L`
+//! candidate merges pass through a binary heap, each after one in-place
+//! label comparison.
 
-use pm_grid::{boundary_rings_with_analysis, BoundaryKind, BoundaryRing, Point, Shape};
+use pm_grid::{
+    boundary_rings_with_analysis, BoundaryCount, BoundaryKind, BoundaryRing, Point, Shape,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Round-cost constant per unit of comparison work (the paper's `k_c`
 /// appears as `2 k_c + 5` in Lemma 35; we fold it into one constant).
@@ -71,22 +82,33 @@ impl CompetitionCostModel {
     }
 }
 
-/// A segment of consecutive v-nodes during the competition.
-#[derive(Clone, Debug)]
+/// A live segment during the competition. A segment keeps the ring index of
+/// the v-node it started as (its tail) for its whole life, so that index is
+/// its id, and it covers the `len` consecutive v-nodes clockwise from it.
+#[derive(Clone, Copy, Debug)]
 struct Segment {
-    /// Boundary counts of the segment's v-nodes, tail to head (clockwise).
-    label: Vec<i32>,
-    /// Ring indices of the segment's v-nodes, tail to head.
-    members: Vec<usize>,
+    len: usize,
     /// Discrete-event time at which this segment is ready for its next
     /// expansion attempt.
     ready_at: u64,
+    /// Id of the clockwise successor among the live segments.
+    next: usize,
+    /// Id of the counter-clockwise predecessor among the live segments.
+    prev: usize,
+    /// Bumped whenever the segment's pending merge changes or it dies, so
+    /// heap entries carrying an older stamp are stale.
+    stamp: u32,
 }
 
-impl Segment {
-    fn key(&self) -> (usize, &[i32]) {
-        (self.label.len(), self.label.as_slice())
+/// Whether the segment of `a_len` v-nodes starting at ring index `a` has a
+/// smaller `(length, label)` key than the one of `b_len` starting at `b`.
+/// Labels are the boundary counts read clockwise, compared in place.
+fn key_less(counts: &[BoundaryCount], a: usize, a_len: usize, b: usize, b_len: usize) -> bool {
+    if a_len != b_len {
+        return a_len < b_len;
     }
+    let label = |s: usize| counts[s..].iter().chain(&counts[..s]).take(a_len);
+    label(a).lt(label(b))
 }
 
 /// The decision OBD reached for one global boundary.
@@ -134,17 +156,15 @@ impl ObdOutcome {
 
 /// Simulator of the OBD primitive on an initial (connected, contracted)
 /// configuration given by a shape.
-#[derive(Clone, Debug)]
-pub struct ObdSimulator {
-    shape: Shape,
+#[derive(Clone, Copy, Debug)]
+pub struct ObdSimulator<'a> {
+    shape: &'a Shape,
 }
 
-impl ObdSimulator {
+impl<'a> ObdSimulator<'a> {
     /// Creates the simulator for the given initial shape.
-    pub fn new(shape: &Shape) -> ObdSimulator {
-        ObdSimulator {
-            shape: shape.clone(),
-        }
+    pub fn new(shape: &'a Shape) -> ObdSimulator<'a> {
+        ObdSimulator { shape }
     }
 
     /// Runs the primitive and returns the decisions, the per-particle outer
@@ -158,7 +178,7 @@ impl ObdSimulator {
     /// of the unpipelined boundary-election baselines.
     pub fn run_with_cost_model(&self, cost_model: CompetitionCostModel) -> ObdOutcome {
         let analysis = self.shape.analyze();
-        let rings = boundary_rings_with_analysis(&self.shape, &analysis);
+        let rings = boundary_rings_with_analysis(self.shape, &analysis);
 
         let mut decisions = Vec::with_capacity(rings.len());
         let mut outer_flags: HashMap<Point, [bool; 6]> = HashMap::new();
@@ -218,63 +238,67 @@ impl ObdSimulator {
 
     /// Runs the segment competition of Section 5.3 on one ring and returns
     /// the decision for that boundary.
+    ///
+    /// Initially every v-node is a segment of length one, ready at time
+    /// zero. A segment strictly smaller than its clockwise successor beats
+    /// and absorbs it. The discrete-event timeline charges each merge
+    /// `CMP_COST · |winner|` (pipelined comparison, Lemma 31) plus
+    /// `ABSORB_COST · |loser|` for the loser's v-nodes to defect and be
+    /// re-absorbed; merges on disjoint parts of the ring overlap in time,
+    /// which the `max` of ready times captures. Each live segment's pending
+    /// merge sits in a min-heap keyed `(done, id)`; a merge changes only
+    /// the pending merges of the winner and its predecessor.
     fn compete_on_ring(ring: &BoundaryRing, cost_model: CompetitionCostModel) -> BoundaryDecision {
         let counts = ring.counts();
         let n = counts.len();
-        // Initially every v-node is a segment of length one (its own head and
-        // tail), ready at time zero.
         let mut segments: Vec<Segment> = (0..n)
             .map(|i| Segment {
-                label: vec![counts[i]],
-                members: vec![i],
+                len: 1,
                 ready_at: 0,
+                next: (i + 1) % n,
+                prev: (i + n - 1) % n,
+                stamp: 0,
             })
             .collect();
+        // The merge segment `id` would make with its successor, if it is
+        // strictly smaller: `(done, id, stamp)`.
+        let pending = |segments: &[Segment], id: usize| {
+            let s = segments[id];
+            let s1 = segments[s.next];
+            (s.next != id && key_less(&counts, id, s.len, s.next, s1.len)).then(|| {
+                let done = s.ready_at.max(s1.ready_at)
+                    + cost_model.comparison_rounds(s.len, s1.len)
+                    + ABSORB_COST * s1.len as u64;
+                Reverse((done, id, s.stamp))
+            })
+        };
+        let mut heap: BinaryHeap<_> = (0..n).filter_map(|id| pending(&segments, id)).collect();
 
-        // Repeatedly let a strictly smaller segment beat and absorb its
-        // clockwise successor. The discrete-event timeline charges each
-        // merge `CMP_COST · |winner|` (pipelined comparison, Lemma 31) plus
-        // `ABSORB_COST · |loser|` for the loser's v-nodes to defect and be
-        // re-absorbed; merges on disjoint parts of the ring overlap in time,
-        // which the `max` of ready times captures.
+        let mut live = n;
         let mut stable_round = 0u64;
-        loop {
-            if segments.len() <= 1 {
-                break;
+        // An empty heap means no segment is strictly smaller than its
+        // successor: on a ring all segments are equal — the boundary is
+        // stable.
+        while let Some(Reverse((done, id, stamp))) = heap.pop() {
+            if segments[id].stamp != stamp {
+                continue;
             }
-            // Find the winning merge with the earliest completion time.
-            let mut best: Option<(usize, u64)> = None;
-            for i in 0..segments.len() {
-                let j = (i + 1) % segments.len();
-                let s = &segments[i];
-                let s1 = &segments[j];
-                if s.key() < s1.key() {
-                    let done = s.ready_at.max(s1.ready_at)
-                        + cost_model.comparison_rounds(s.label.len(), s1.label.len())
-                        + ABSORB_COST * s1.label.len() as u64;
-                    if best.is_none_or(|(_, t)| done < t) {
-                        best = Some((i, done));
-                    }
-                }
-            }
-            let Some((i, done)) = best else {
-                // No segment is strictly smaller than its successor: on a
-                // ring this means all segments are equal — the boundary is
-                // stable.
-                break;
-            };
-            let j = (i + 1) % segments.len();
-            let loser = segments.remove(j);
-            // Removing index j may shift the winner's index.
-            let winner_idx = if j < i { i - 1 } else { i };
-            let winner = &mut segments[winner_idx];
-            winner.label.extend(loser.label);
-            winner.members.extend(loser.members);
+            let loser = segments[id].next;
+            let Segment { len, next, .. } = segments[loser];
+            segments[loser].stamp += 1;
+            segments[next].prev = id;
+            let winner = &mut segments[id];
+            winner.len += len;
             winner.ready_at = done;
+            winner.next = next;
+            live -= 1;
             stable_round = stable_round.max(done);
+            for s in [id, segments[id].prev] {
+                segments[s].stamp += 1;
+                heap.extend(pending(&segments, s));
+            }
         }
 
-        let stable_segments = segments.len();
         let count_sum: i64 = counts.iter().map(|c| *c as i64).sum();
         // The algorithm's decision: a boundary is the outer one iff the total
         // count sum is positive (+6 on stable multi-point boundaries, +4 for
@@ -285,7 +309,7 @@ impl ObdSimulator {
             ring_len: ring.len(),
             count_sum,
             declared_outer,
-            stable_segments,
+            stable_segments: live,
             stable_round,
         }
     }
@@ -352,9 +376,117 @@ pub fn run_obd(shape: &Shape) -> ObdOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_grid::builder::{annulus, hexagon, line, parallelogram, swiss_cheese};
-    use pm_grid::random::{random_blob, random_holey_hexagon};
+    use pm_grid::builder::{
+        annulus, comb, dumbbell, hexagon, line, parallelogram, spiral, swiss_cheese,
+    };
+    use pm_grid::random::{
+        caterpillar, k_hole_hexagon, random_blob, random_holey_hexagon,
+        random_simply_connected_blob,
+    };
     use pm_grid::Metric;
+
+    /// The competition as a scan: every merge looks through all segments
+    /// for the earliest-finishing one (lowest position on ties), removes the
+    /// loser and copies its label into the winner. `O(L²)`; kept as the
+    /// reference the event queue must reproduce exactly.
+    fn compete_by_scan(ring: &BoundaryRing, cost_model: CompetitionCostModel) -> BoundaryDecision {
+        struct ScanSegment {
+            label: Vec<BoundaryCount>,
+            ready_at: u64,
+        }
+        let counts = ring.counts();
+        let mut segments: Vec<ScanSegment> = counts
+            .iter()
+            .map(|c| ScanSegment {
+                label: vec![*c],
+                ready_at: 0,
+            })
+            .collect();
+        fn key(s: &ScanSegment) -> (usize, &[BoundaryCount]) {
+            (s.label.len(), &s.label)
+        }
+        let mut stable_round = 0u64;
+        while segments.len() > 1 {
+            let mut best: Option<(usize, u64)> = None;
+            for i in 0..segments.len() {
+                let (s, s1) = (&segments[i], &segments[(i + 1) % segments.len()]);
+                if key(s) < key(s1) {
+                    let done = s.ready_at.max(s1.ready_at)
+                        + cost_model.comparison_rounds(s.label.len(), s1.label.len())
+                        + ABSORB_COST * s1.label.len() as u64;
+                    if best.is_none_or(|(_, t)| done < t) {
+                        best = Some((i, done));
+                    }
+                }
+            }
+            let Some((i, done)) = best else { break };
+            let j = (i + 1) % segments.len();
+            let loser = segments.remove(j);
+            let winner = &mut segments[if j < i { i - 1 } else { i }];
+            winner.label.extend(loser.label);
+            winner.ready_at = done;
+            stable_round = stable_round.max(done);
+        }
+        let count_sum: i64 = counts.iter().map(|c| *c as i64).sum();
+        BoundaryDecision {
+            kind: ring.kind(),
+            ring_len: ring.len(),
+            count_sum,
+            declared_outer: count_sum > 0,
+            stable_segments: segments.len(),
+            stable_round,
+        }
+    }
+
+    #[test]
+    fn event_queue_competition_matches_the_scan() {
+        let mut shapes = vec![
+            // One instance of every corpus generator.
+            line(12),
+            hexagon(5),
+            parallelogram(6, 3),
+            annulus(6, 2),
+            swiss_cheese(6, 3),
+            comb(12, 4),
+            spiral(40),
+            dumbbell(3, 5),
+            caterpillar(30, 5, 1),
+            random_blob(120, 1),
+            random_simply_connected_blob(120, 1),
+            random_holey_hexagon(6, 0.1, 1),
+            k_hole_hexagon(6, 3, 1),
+            // The single v-node ring and the symmetric tie case.
+            line(1),
+            hexagon(3),
+            // The benchmark's election shapes.
+            annulus(66, 33),
+            caterpillar(1000, 8, 7),
+        ];
+        for seed in 0..40 {
+            shapes.push(random_blob(150, seed));
+            shapes.push(caterpillar(40, 6, seed));
+            shapes.push(random_holey_hexagon(6, 0.08, seed));
+            shapes.push(random_simply_connected_blob(150, seed));
+        }
+        for (index, shape) in shapes.iter().enumerate() {
+            for ring in &boundary_rings_with_analysis(shape, &shape.analyze()) {
+                for model in [
+                    CompetitionCostModel::Pipelined,
+                    CompetitionCostModel::Sequential,
+                ] {
+                    assert_eq!(
+                        ObdSimulator::compete_on_ring(ring, model),
+                        compete_by_scan(ring, model),
+                        "{model:?} competition differs on a {:?} ring of {} v-nodes \
+                         (shape {index}, {} points)",
+                        ring.kind(),
+                        ring.len(),
+                        shape.len()
+                    );
+                }
+            }
+        }
+    }
 
     fn check_flags_match_ground_truth(shape: &Shape) -> ObdOutcome {
         let sim = ObdSimulator::new(shape);
