@@ -59,6 +59,15 @@ pub enum FaultKind {
     /// skipping any particle whose removal would disconnect the system, so
     /// the shape stays connected throughout.
     Relocate,
+    /// Remove every particle whose head lies on the axial column
+    /// `q == column`, unless that would empty the system, keeping **all**
+    /// resulting components (no pruning); `count` is ignored. On a shape
+    /// the column actually cuts, this splits the system — the split half
+    /// of the paper's split-and-reconnect dynamic.
+    Cut {
+        /// The axial column to cut along.
+        column: i32,
+    },
 }
 
 impl fmt::Display for FaultKind {
@@ -68,6 +77,7 @@ impl fmt::Display for FaultKind {
             FaultKind::Regrow => "regrow",
             FaultKind::Corruption => "corruption",
             FaultKind::Relocate => "relocate",
+            FaultKind::Cut { column } => return write!(f, "cut[q={column}]"),
         };
         f.write_str(name)
     }
@@ -482,6 +492,20 @@ impl FaultScript {
                         self.relocated += 1;
                     } else {
                         system.add_at(victim);
+                    }
+                }
+            }
+            FaultKind::Cut { column } => {
+                let on_column: Vec<Point> = system
+                    .particle_positions()
+                    .into_iter()
+                    .filter(|p| p.q == column)
+                    .collect();
+                if on_column.len() < system.particle_count() {
+                    for p in on_column {
+                        if system.remove_at(p) {
+                            self.removed += 1;
+                        }
                     }
                 }
             }
