@@ -289,7 +289,7 @@ impl IntoIterator for Neighbors {
 /// Builds the [`InitContext`] of a particle at `point` from a shape
 /// analysis — the single definition of what a particle sees at
 /// initialization time, shared by initial construction
-/// ([`ParticleSystem::from_shape_with_backend`]) and perturbation resets
+/// ([`ParticleSystem::from_shape_with_backend`]) and fault-plan resets
 /// ([`ParticleSystem::reinitialize`]), so the two can never diverge.
 fn init_context(analysis: &pm_grid::ShapeAnalysis, point: Point) -> InitContext {
     let mut occupied = [false; 6];
@@ -307,23 +307,24 @@ fn init_context(analysis: &pm_grid::ShapeAnalysis, point: Point) -> InitContext 
     }
 }
 
-/// The mutation surface a perturbation script sees mid-run.
+/// The mutation surface a fault script sees mid-run.
 ///
 /// [`Runner::control`](crate::scheduler::Runner::control) hands out a
 /// `SystemControl` between rounds of a round-driven phase (surfaced upward
-/// as `Execution::system` in `pm-core`), so callers can inject adversarial
-/// perturbations — remove particles, split the configuration — without
-/// knowing the algorithm's memory type. After mutating, a perturbation calls
-/// [`SystemControl::reinitialize`]: the adversary resets the survivors into a
-/// fresh permitted initial configuration and the algorithm restarts its
-/// election on the perturbed shape (modelling the recovery that
-/// self-stabilising leader election automates, cf. arXiv 2408.08775).
+/// as `Execution::system` in `pm-core`), so callers — the fault plans of
+/// `pm-faults` — can remove, add, corrupt or relocate particles, or split
+/// the configuration, without knowing the algorithm's memory type. A
+/// reset-and-recover fault then calls [`SystemControl::reinitialize`]: the
+/// adversary resets the survivors into a fresh permitted initial
+/// configuration and the algorithm restarts its election on the mutated
+/// shape (the recovery that self-stabilising leader election automates,
+/// cf. arXiv 2408.08775).
 pub trait SystemControl {
     /// Number of particles still in the system.
     fn particle_count(&self) -> usize;
 
     /// Head positions of the particles still in the system, in creation
-    /// (id) order — a deterministic enumeration for seeded perturbations.
+    /// (id) order — a deterministic enumeration for seeded faults.
     fn particle_positions(&self) -> Vec<Point>;
 
     /// The currently occupied shape.

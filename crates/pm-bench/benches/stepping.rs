@@ -36,7 +36,7 @@ fn bench_elect_vs_stepping(c: &mut Criterion) {
                 let mut scheduler = SeededRandom::new(7);
                 let mut execution = PaperPipeline.start(shape, &mut scheduler, &opts).unwrap();
                 loop {
-                    // Poll the upcoming round every step, as a perturbation
+                    // Poll the upcoming round every step, as a fault
                     // driver does (the O(1) accessor, not a full status).
                     black_box(execution.next_round());
                     if let StepOutcome::Finished(report) = execution.step_round().unwrap() {

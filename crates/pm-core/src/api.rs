@@ -206,7 +206,12 @@ pub struct PhaseReport {
 
 /// Wall-clock profile of one phase of a *profiled* execution — the
 /// out-of-band companion to [`PhaseReport`], produced only when the caller
-/// opted in via [`Execution::enable_profiling`].
+/// opted in via [`Execution::enable_profiling`]. The phase's rounds,
+/// activations and moves live in its [`PhaseReport`]
+/// ([`RunReport::profiled_phases`] pairs the two). A profile covers the
+/// phases its execution stepped through: every phase of a fresh run, in
+/// order, but only the later ones of a run restored from a mid-run
+/// snapshot.
 ///
 /// Profiles ride along on [`RunReport::profile`] but are **excluded from
 /// serialization** (`#[serde(skip)]`): wall-clock timings differ run to
@@ -219,12 +224,6 @@ pub struct PhaseProfile {
     /// [`Execution::step_round`] calls charged to the phase, boundary steps
     /// included.
     pub steps: u64,
-    /// Rounds the phase reported (mirrors [`PhaseReport::rounds`]).
-    pub rounds: u64,
-    /// Activations the phase reported (mirrors [`PhaseReport::activations`]).
-    pub activations: u64,
-    /// Moves the phase reported (mirrors [`PhaseReport::moves`]).
-    pub moves: u64,
     /// Wall-clock nanoseconds spent inside the phase's steps.
     pub wall_nanos: u64,
 }
@@ -328,6 +327,18 @@ impl RunReport {
     /// configuration.
     pub fn predicate_holds(&self) -> bool {
         self.unique_leader() && self.undecided == 0 && self.final_connected
+    }
+
+    /// Pairs each [`PhaseProfile`] with the [`PhaseReport`] of the same
+    /// phase (which holds its rounds, activations and moves), in execution
+    /// order. Empty for unprofiled reports.
+    pub fn profiled_phases(&self) -> impl Iterator<Item = (&PhaseProfile, &PhaseReport)> {
+        self.profile.iter().filter_map(|profile| {
+            self.phases
+                .iter()
+                .find(|phase| phase.name == profile.name)
+                .map(|phase| (profile, phase))
+        })
     }
 
     /// The final shape of the particle system.
@@ -499,8 +510,8 @@ pub trait ExecutionDriver {
     /// execute round `r`. The default derives it from
     /// [`ExecutionDriver::status`]; drivers with a live particle system
     /// override it with an `O(1)` path, since `status()` tallies
-    /// per-particle decision counts and per-round pollers (perturbation
-    /// scripts) should not pay `O(n)` per round for it.
+    /// per-particle decision counts and per-round pollers (fault scripts)
+    /// should not pay `O(n)` per round for it.
     fn next_round(&self) -> Option<(&'static str, u64)> {
         let status = self.status();
         status.phase.zip(status.next_round)
@@ -575,7 +586,6 @@ impl Profiler {
                     name: (*phase).to_string(),
                     steps: 1,
                     wall_nanos,
-                    ..PhaseProfile::default()
                 });
                 self.current = Some(self.phases.len() - 1);
             }
@@ -585,13 +595,10 @@ impl Profiler {
                     profile.wall_nanos += wall_nanos;
                 }
             }
-            StepOutcome::PhaseEnded { report } => {
+            StepOutcome::PhaseEnded { .. } => {
                 if let Some(profile) = self.current.take().and_then(|i| self.phases.get_mut(i)) {
                     profile.steps += 1;
                     profile.wall_nanos += wall_nanos;
-                    profile.rounds = report.rounds;
-                    profile.activations = report.activations;
-                    profile.moves = report.moves;
                 }
             }
             StepOutcome::Finished(report) => {
@@ -696,7 +703,7 @@ impl<'a> Execution<'a> {
     }
 
     /// The upcoming round of the active round-driven phase, with its phase
-    /// name — the `O(1)` hook perturbation drivers poll every round:
+    /// name — the `O(1)` hook fault scripts poll every round:
     /// `Some((phase, r))` iff the next [`Execution::step_round`] will
     /// execute round `r` (equivalently, `status()`'s `phase` zipped with
     /// its `next_round`).
@@ -1724,17 +1731,18 @@ mod tests {
         // PartialEq compares) are untouched by profiling.
         assert_eq!(profiled, plain);
 
-        // One profile entry per executed phase, agreeing with the
-        // deterministic per-phase counters; every step was timed.
-        assert_eq!(profiled.profile.len(), profiled.phases.len());
-        for (profile, phase) in profiled.profile.iter().zip(&profiled.phases) {
+        // One profile entry per executed phase, named and ordered exactly
+        // like the deterministic phase reports; every step was timed.
+        let profiled_names: Vec<&str> = profiled.profile.iter().map(|p| p.name.as_str()).collect();
+        let phase_names: Vec<&str> = profiled.phases.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(profiled_names, phase_names);
+        assert_eq!(profiled.profiled_phases().count(), profiled.phases.len());
+        for (profile, phase) in profiled.profiled_phases() {
             assert_eq!(profile.name, phase.name);
-            assert_eq!(profile.rounds, phase.rounds);
-            assert_eq!(profile.activations, phase.activations);
-            assert_eq!(profile.moves, phase.moves);
             // PhaseStarted + the phase body + PhaseEnded.
             assert!(profile.steps >= 2);
         }
+        assert_eq!(plain.profiled_phases().count(), 0);
     }
 
     #[test]

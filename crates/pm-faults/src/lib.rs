@@ -1,16 +1,17 @@
 //! Deterministic fault injection and recovery measurement.
 //!
-//! This crate generalises the one-shot reset-and-recover perturbations of
-//! `pm-scenarios` into a full fault model. A [`FaultPlan`] is a seeded,
-//! serializable schedule of fault *processes* — periodic removals, regrow
-//! (particle additions), state corruption, and move-based relocation — each
-//! fired deterministically between rounds through the
-//! [`Execution::system`] mutation surface by a [`FaultScript`]. Whether the
-//! adversary also resets the survivors after each firing is the plan's
-//! [`ResetPolicy`]: `Reinitialize` reproduces the legacy reset-and-recover
-//! semantics, while `None` leaves the algorithm to *recover on its own* —
-//! the regime self-stabilising leader election (Chalopin–Das–Kokkou, arXiv
-//! 2408.08775) is built for, and the regime this crate exists to measure.
+//! The workspace's one adversary model. A [`FaultPlan`] is a seeded,
+//! serializable schedule of fault *processes* — random removals, column
+//! cuts that split the system, regrow (particle additions), state
+//! corruption, and move-based relocation — each fired deterministically
+//! between rounds through the [`Execution::system`] mutation surface by a
+//! [`FaultScript`]. Whether the adversary also resets the survivors after
+//! each firing is the plan's [`ResetPolicy`]: `Reinitialize` is the
+//! reset-and-recover baseline (the election restarts on the mutated
+//! configuration), while `None` leaves the algorithm to *recover on its
+//! own* — the regime self-stabilising leader election (Chalopin–Das–Kokkou,
+//! arXiv 2408.08775) is built for, and the regime this crate exists to
+//! measure.
 //!
 //! Recovery is quantified by a [`RecoveryReport`], computed caller-side by
 //! [`RecoveryDriver`]: it drives a steppable execution round by round,
@@ -86,7 +87,9 @@ impl fmt::Display for FaultKind {
 /// One deterministic fault process: fires at round `start`, then every
 /// `period` rounds until `until` (inclusive). `period == 0` means one-shot
 /// (fires at `start` only). Rounds are 0-based within the election's
-/// round-driven phase, exactly as `PerturbationSpec` rounds.
+/// round-driven phase (`dle` for the paper pipeline, `election` for the
+/// baselines that run one); a process due after the election terminated
+/// simply never fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultProcess {
     /// What the process does when it fires.
@@ -143,13 +146,10 @@ impl FaultProcess {
         round <= self.until && (round - self.start).is_multiple_of(self.period)
     }
 
-    /// The last round this process can fire at.
-    pub fn horizon(&self) -> u64 {
-        if self.period == 0 {
-            self.start
-        } else {
-            self.until.max(self.start)
-        }
+    /// Whether the process can fire at no round at all: a periodic window
+    /// that closes (`until`) before it opens (`start`).
+    pub fn never_fires(&self) -> bool {
+        self.period > 0 && self.until < self.start
     }
 }
 
@@ -174,15 +174,17 @@ pub enum ResetPolicy {
     /// self-stabilisation regime). The default.
     #[default]
     None,
-    /// Re-initialize every surviving particle after each firing — the
-    /// legacy reset-and-recover semantics of `PerturbationSpec`, kept as
-    /// the labelled baseline.
+    /// Re-initialize every surviving particle after each firing round: the
+    /// adversary resets the system into a fresh permitted initial
+    /// configuration and the election restarts there, with rounds,
+    /// activations and moves accumulating in the same phase totals. The
+    /// labelled reset-and-recover baseline.
     Reinitialize,
 }
 
-/// A deterministic seeded fault schedule: the generalisation of a
-/// perturbation list. Serializable, so scenario specs and server sessions
-/// carry plans verbatim and checkpoints replay them bit-identically.
+/// A deterministic seeded fault schedule. Serializable, so scenario specs
+/// and server sessions carry plans verbatim and checkpoints replay them
+/// bit-identically.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Master seed; each firing reseeds from `(seed, process index, round)`.
@@ -192,10 +194,6 @@ pub struct FaultPlan {
     /// The fault processes, fired in order on rounds where several are due.
     pub processes: Vec<FaultProcess>,
 }
-
-/// The wire/spec-level alias used by `pm-scenarios` and the server
-/// protocol: a scenario's fault specification *is* a fault plan.
-pub type FaultSpec = FaultPlan;
 
 impl FaultPlan {
     /// A plan with the given seed and no processes (add with
@@ -226,11 +224,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.processes.is_empty()
     }
-
-    /// The last round any process can fire at (`None` for an empty plan).
-    pub fn horizon(&self) -> Option<u64> {
-        self.processes.iter().map(FaultProcess::horizon).max()
-    }
 }
 
 /// Mixes the plan seed, process index and round into one firing seed
@@ -250,7 +243,7 @@ fn firing_seed(seed: u64, process: u64, round: u64) -> u64 {
 /// occupied shape (largest by size; ties broken by the lexicographically
 /// smallest point, so the choice is deterministic). Returns how many
 /// particles were removed.
-pub fn prune_to_largest_component(system: &mut dyn SystemControl) -> usize {
+fn prune_to_largest_component(system: &mut dyn SystemControl) -> usize {
     let shape = system.occupied_shape();
     if shape.is_empty() || shape.is_connected() {
         return 0;
@@ -284,8 +277,8 @@ fn frontier(shape: &Shape) -> Vec<Point> {
 
 /// A fault plan bound to one run: fires each due process before the
 /// matching round of the election's round-driven phase, through
-/// [`Execution::system`]. The runtime mirror of `PerturbationScript`, with
-/// periodic processes and per-firing reseeding.
+/// [`Execution::system`], with periodic processes and per-firing
+/// reseeding.
 #[derive(Clone, Debug)]
 pub struct FaultScript {
     plan: FaultPlan,
@@ -375,8 +368,8 @@ impl FaultScript {
         let Some((phase_name, round)) = execution.next_round() else {
             return 0;
         };
-        // Faults target the election's round-driven phase, exactly as
-        // perturbations do.
+        // Faults target the election's round-driven phase; OBD and Collect
+        // are simulated in closed form and never expose a system.
         if phase_name != phase::DLE && phase_name != phase::ELECTION {
             return 0;
         }
@@ -655,7 +648,7 @@ mod tests {
     use super::*;
     use pm_baselines::SelfStabMaxElection;
     use pm_core::api::PaperPipeline;
-    use pm_grid::builder::{hexagon, line};
+    use pm_grid::builder::{dumbbell, hexagon, line, parallelogram};
 
     fn corruption_plan() -> FaultPlan {
         FaultPlan::new(7).process(FaultProcess::once(FaultKind::Corruption, 3, 8))
@@ -667,7 +660,7 @@ mod tests {
         assert!(!p.fires_at(4));
         assert!(p.fires_at(5));
         assert!(!p.fires_at(6));
-        assert_eq!(p.horizon(), 5);
+        assert!(!p.never_fires());
     }
 
     #[test]
@@ -675,7 +668,6 @@ mod tests {
         let p = FaultProcess::periodic(FaultKind::Regrow, 2, 3, 9, 1);
         let rounds: Vec<u64> = (0..15).filter(|r| p.fires_at(*r)).collect();
         assert_eq!(rounds, [2, 5, 8]);
-        assert_eq!(p.horizon(), 9);
 
         // Period 1 fires every round of the window.
         let every = FaultProcess::periodic(FaultKind::Corruption, 1, 1, 3, 1);
@@ -692,10 +684,12 @@ mod tests {
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
-        assert_eq!(back.horizon(), Some(10));
         assert!(!back.is_empty());
         assert!(FaultPlan::new(0).is_empty());
-        assert_eq!(FaultPlan::new(0).horizon(), None);
+        let cut =
+            FaultPlan::new(1).process(FaultProcess::once(FaultKind::Cut { column: -3 }, 2, 0));
+        let json = serde_json::to_string(&cut).unwrap();
+        assert_eq!(serde_json::from_str::<FaultPlan>(&json).unwrap(), cut);
     }
 
     #[test]
@@ -725,6 +719,69 @@ mod tests {
         assert_eq!(report.n, 2);
         assert!(recovery.recovered);
         assert_eq!(recovery.leaders, 1);
+
+        // The same clamp under reset-and-recover on the paper pipeline.
+        let plan = FaultPlan::new(2)
+            .reset(ResetPolicy::Reinitialize)
+            .process(FaultProcess::once(FaultKind::Removals, 1, 1000));
+        let (recovery, report) = RecoveryDriver::new(plan)
+            .run(
+                &PaperPipeline,
+                &line(5),
+                &mut *SchedulerSpec::SeededRandom(7).build(),
+                &RunOptions::default(),
+            )
+            .unwrap();
+        assert_eq!(recovery.faults_fired, 1);
+        assert_eq!(recovery.removed, 4);
+        assert!(report.unique_leader());
+        assert_eq!(report.final_positions.len(), 1);
+    }
+
+    #[test]
+    fn cut_yields_one_leader_per_component() {
+        // Cutting the dumbbell's corridor splits it into its two balls;
+        // without reconnection each elects a leader of its own.
+        let plan = FaultPlan::new(0)
+            .reset(ResetPolicy::Reinitialize)
+            .process(FaultProcess::once(FaultKind::Cut { column: 8 }, 3, 0));
+        let (recovery, report) = RecoveryDriver::new(plan)
+            .run(
+                &PaperPipeline,
+                &dumbbell(3, 10),
+                &mut *SchedulerSpec::SeededRandom(7).build(),
+                &RunOptions {
+                    reconnect: false,
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(recovery.faults_fired, 1);
+        assert!(recovery.removed > 0);
+        assert_eq!(report.leaders, 2);
+        assert_eq!(report.undecided, 0);
+        assert!(!report.final_connected);
+    }
+
+    #[test]
+    fn cuts_never_empty_the_system() {
+        // A one-column parallelogram lies entirely on column 0: cutting it
+        // would empty the system, so the cut removes nothing.
+        let plan = FaultPlan::new(0)
+            .reset(ResetPolicy::Reinitialize)
+            .process(FaultProcess::once(FaultKind::Cut { column: 0 }, 0, 0));
+        let (recovery, report) = RecoveryDriver::new(plan)
+            .run(
+                &SelfStabMaxElection,
+                &parallelogram(1, 5),
+                &mut *SchedulerSpec::RoundRobin.build(),
+                &RunOptions::default(),
+            )
+            .unwrap();
+        assert_eq!(recovery.faults_fired, 1);
+        assert_eq!(recovery.removed, 0);
+        assert_eq!(report.final_positions.len(), 5);
+        assert!(recovery.recovered);
     }
 
     #[test]
@@ -835,6 +892,7 @@ mod tests {
         )
         .unwrap();
         assert!(recovery.recovered);
+        assert!(recovery.removed > 0);
         // The plan itself asked for resets, so no fallback was needed.
         assert!(!recovery.reset_needed);
     }

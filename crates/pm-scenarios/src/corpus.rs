@@ -12,7 +12,6 @@
 
 use crate::family::{expand_entries, CorpusEntry, FamilySpec};
 use crate::generators::GeneratorSpec;
-use crate::perturb::PerturbationSpec;
 use crate::spec::{AlgorithmSpec, ScenarioSpec};
 use pm_amoebot::system::OccupancyBackend;
 use pm_core::api::RunOptions;
@@ -50,6 +49,11 @@ fn dle_only() -> RunOptions {
     }
 }
 
+/// An empty reset-and-recover plan with the given seed.
+fn reset_and_recover(seed: u64) -> FaultPlan {
+    FaultPlan::new(seed).reset(ResetPolicy::Reinitialize)
+}
+
 /// The built-in corpus *entries*: concrete scenarios plus family grids, as
 /// committed to `corpus/scenarios.json`. [`builtin_corpus`] is the expanded
 /// flat view.
@@ -79,7 +83,8 @@ pub fn builtin_entries() -> Vec<CorpusEntry> {
 /// The concrete (non-family) scenarios of the built-in corpus: one
 /// representative of every structural class the experiments use, the
 /// Table 1 variant knobs, every scheduler, every algorithm, and perturbed
-/// runs exercising the reconnection dynamics.
+/// (reset-and-recover fault plan) runs exercising the reconnection
+/// dynamics.
 fn builtin_scenarios() -> Vec<ScenarioSpec> {
     let mut corpus = Vec::new();
 
@@ -230,17 +235,15 @@ fn builtin_scenarios() -> Vec<ScenarioSpec> {
     );
 
     // --- Perturbed runs (the reconnection/dynamics axis) -------------------
+    // Reset-and-recover: every firing resets the survivors and the election
+    // restarts on the mutated configuration.
     corpus.push(
         ScenarioSpec::new(
             "smoke-perturbed-remove",
             GeneratorSpec::Hexagon { radius: 5 },
         )
         .tag(SMOKE)
-        .perturb(PerturbationSpec::RemoveRandom {
-            round: 4,
-            count: 10,
-            seed: 11,
-        }),
+        .faults(reset_and_recover(11).process(FaultProcess::once(FaultKind::Removals, 4, 10))),
     );
     corpus.push(
         ScenarioSpec::new(
@@ -248,17 +251,14 @@ fn builtin_scenarios() -> Vec<ScenarioSpec> {
             GeneratorSpec::SimplyConnectedBlob { n: 150, seed: 9 },
         )
         .tag(SMOKE)
-        .perturb(PerturbationSpec::RemoveRandom {
-            round: 3,
-            count: 15,
-            seed: 3,
-        })
-        .perturb(PerturbationSpec::RemoveRandom {
-            round: 9,
-            count: 15,
-            seed: 4,
-        }),
+        .faults(
+            reset_and_recover(3)
+                .process(FaultProcess::once(FaultKind::Removals, 3, 15))
+                .process(FaultProcess::once(FaultKind::Removals, 9, 15)),
+        ),
     );
+    // The cut splits the dumbbell; without reconnection each half elects
+    // its own leader.
     corpus.push(
         ScenarioSpec::new(
             "smoke-perturbed-split",
@@ -269,10 +269,11 @@ fn builtin_scenarios() -> Vec<ScenarioSpec> {
         )
         .tag(SMOKE)
         .options(dle_only())
-        .perturb(PerturbationSpec::SplitColumn {
-            round: 3,
-            column: 8,
-        }),
+        .faults(reset_and_recover(0).process(FaultProcess::once(
+            FaultKind::Cut { column: 8 },
+            3,
+            0,
+        ))),
     );
 
     // --- Fault-plan scenarios (the `faults` suite: CI recovery smoke) ------
@@ -381,11 +382,7 @@ fn builtin_scenarios() -> Vec<ScenarioSpec> {
             GeneratorSpec::SimplyConnectedBlob { n: 400, seed: 23 },
         )
         .tag(FULL)
-        .perturb(PerturbationSpec::RemoveRandom {
-            round: 10,
-            count: 40,
-            seed: 29,
-        }),
+        .faults(reset_and_recover(29).process(FaultProcess::once(FaultKind::Removals, 10, 40))),
     );
     // The erosion family's documented limitation, as data: the run reports
     // `ElectionError::Stuck`, and the suite records the error entry.
@@ -470,7 +467,7 @@ mod tests {
         let smoke = select(&corpus, SMOKE);
         assert!(smoke.len() >= 10, "smoke has {} scenarios", smoke.len());
         assert!(
-            smoke.iter().any(|s| !s.perturbations.is_empty()),
+            smoke.iter().any(|s| s.is_adversarial()),
             "smoke must include a perturbed scenario"
         );
         for spec in smoke {
@@ -507,13 +504,12 @@ mod tests {
         assert!(faults.iter().any(|s| s.faults.reset == ResetPolicy::None));
         for spec in faults {
             assert!(spec.is_adversarial(), "{}", spec.name);
-            assert!(spec.perturbations.is_empty(), "{}", spec.name);
             assert!(
                 spec.build_shape().len() <= 200,
                 "{} exceeds the faults size cap",
                 spec.name
             );
-            assert!(spec.algorithm.supports_perturbations(), "{}", spec.name);
+            assert!(spec.algorithm.supports_faults(), "{}", spec.name);
         }
     }
 

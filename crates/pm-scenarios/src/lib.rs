@@ -8,15 +8,10 @@
 //!   single re-export surface for the underlying builder functions.
 //! * [`spec`] — [`ScenarioSpec`]: one election run as a JSON value (shape,
 //!   algorithm, scheduler, [`RunOptions`](pm_core::api::RunOptions) knobs,
-//!   perturbation script), and [`ScenarioSpec::start`], the one start path
-//!   for a scenario run.
-//! * [`perturb`] — mid-run fault injection: remove-k-at-round-r and
-//!   split-along-a-column events with reset-and-recover semantics, fired
-//!   between steps of the steppable
+//!   `pm_faults::FaultPlan`), [`ScenarioSpec::start`], the one start path
+//!   for a scenario run, and [`apply_faults`], the step hook that fires a
+//!   run's due faults before each step of the steppable
 //!   [`Execution`](pm_core::api::Execution) handle.
-//! * [`script`] — [`ScenarioScript`]: the combined adversary of one run
-//!   (perturbation script plus the generalised `pm_faults::FaultPlan`),
-//!   fired before each step by the [`apply_scripts`] hook.
 //! * [`family`] — scenario families: [`FamilySpec`] parameter grids
 //!   (sizes × seeds) that expand into concrete scenarios at load time.
 //! * [`corpus`] — the committed scenario corpus (`corpus/scenarios.json`,
@@ -38,15 +33,11 @@
 pub mod corpus;
 pub mod family;
 pub mod generators;
-pub mod perturb;
 pub mod runner;
-pub mod script;
 pub mod spec;
 
 pub use corpus::{builtin_corpus, builtin_entries, load_embedded, load_file, select, suite_tags};
 pub use family::{CorpusEntry, FamilySpec};
 pub use generators::GeneratorSpec;
-pub use perturb::{PerturbationScript, PerturbationSpec};
 pub use runner::{report_json, run_suite, ScenarioReport};
-pub use script::{apply_scripts, ScenarioScript};
-pub use spec::{AlgorithmSpec, ScenarioSpec, StartedScenario};
+pub use spec::{apply_faults, AlgorithmSpec, ScenarioSpec, StartedScenario};

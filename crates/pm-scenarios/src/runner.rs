@@ -1,7 +1,6 @@
 //! Driving scenario suites through the session scheduler.
 
-use crate::script::apply_scripts;
-use crate::spec::ScenarioSpec;
+use crate::spec::{apply_faults, ScenarioSpec};
 use pm_core::api::RunReport;
 use pm_core::session::{Goal, SessionId, SessionScheduler};
 use serde::{Deserialize, Serialize};
@@ -19,8 +18,6 @@ pub struct ScenarioReport {
     pub generator: String,
     /// Initial particle count.
     pub n: usize,
-    /// Number of scripted perturbation events.
-    pub perturbations: usize,
     /// Number of fault-plan processes scheduled by the scenario.
     pub faults: usize,
     /// Whether the run produced a report.
@@ -33,13 +30,12 @@ pub struct ScenarioReport {
 
 /// Runs a suite on a [`SessionScheduler`] sharding its sweep over
 /// `threads` workers: every scenario is admitted with [`Goal::Complete`]
-/// and an unbounded slice, with its
-/// [`ScenarioScript`](crate::ScenarioScript) fired before each step exactly
-/// as the server does.
+/// and an unbounded slice, with its fault plan fired before each step by
+/// [`apply_faults`] exactly as the server does.
 ///
 /// Results come back in scenario order and are **bit-identical across thread
-/// counts and repeated runs**: every shape, scheduler, perturbation and fault
-/// firing is seeded, sessions never interact, and each scenario's report is
+/// counts and repeated runs**: every shape, scheduler and fault firing is
+/// seeded, sessions never interact, and each scenario's report is
 /// read back by its own session id. A scenario that fails to start
 /// ([`ScenarioSpec::start`]) reports the error at its own index.
 pub fn run_suite(specs: &[&ScenarioSpec], threads: usize) -> Vec<ScenarioReport> {
@@ -53,7 +49,7 @@ pub fn run_suite(specs: &[&ScenarioSpec], threads: usize) -> Vec<ScenarioReport>
             Ok((id, started.n))
         })
         .collect();
-    while scheduler.sweep(&apply_scripts) > 0 {}
+    while scheduler.sweep(&apply_faults) > 0 {}
 
     specs
         .iter()
@@ -71,7 +67,6 @@ pub fn run_suite(specs: &[&ScenarioSpec], threads: usize) -> Vec<ScenarioReport>
                 algorithm: spec.algorithm.name().to_string(),
                 generator: spec.generator.to_string(),
                 n,
-                perturbations: spec.perturbations.len(),
                 faults: spec.faults.processes.len(),
                 ok: outcome.is_ok(),
                 error: outcome.as_ref().err().cloned(),
@@ -103,7 +98,7 @@ mod tests {
         let sharded = run_suite(&smoke, 4);
         assert_eq!(sequential, sharded);
         assert!(sequential.iter().all(|r| r.ok), "smoke runs must succeed");
-        assert!(sequential.iter().any(|r| r.perturbations > 0));
+        assert!(sequential.iter().any(|r| r.faults > 0));
     }
 
     #[test]
@@ -128,7 +123,7 @@ mod tests {
     fn fault_plans_on_closed_form_baselines_are_rejected() {
         use crate::generators::GeneratorSpec;
         use crate::spec::{AlgorithmSpec, ScenarioSpec};
-        use pm_faults::{FaultKind, FaultPlan};
+        use pm_faults::{FaultKind, FaultPlan, ResetPolicy};
         let spec = ScenarioSpec::new("bad-faults", GeneratorSpec::Hexagon { radius: 3 })
             .algorithm(AlgorithmSpec::QuadraticBoundary)
             .faults(FaultPlan::new(3).process(FaultProcess::once(FaultKind::Removals, 1, 2)));
@@ -138,42 +133,17 @@ mod tests {
         let error = reports[0].error.as_deref().unwrap_or_default();
         assert!(error.contains("fault plan"), "{error}");
         assert!(error.contains("would never fire"), "{error}");
-    }
 
-    #[test]
-    fn perturbation_scripts_on_closed_form_baselines_are_rejected() {
-        use crate::generators::GeneratorSpec;
-        use crate::perturb::PerturbationSpec;
-        use crate::spec::{AlgorithmSpec, ScenarioSpec};
-        let spec = ScenarioSpec::new("bad", GeneratorSpec::Hexagon { radius: 3 })
-            .algorithm(AlgorithmSpec::RandomizedBoundary)
-            .perturb(PerturbationSpec::RemoveRandom {
-                round: 1,
-                count: 2,
-                seed: 0,
-            });
-        let reports = run_suite(&[&spec], 1);
-        assert_eq!(reports.len(), 1);
-        assert!(!reports[0].ok);
-        assert!(
-            reports[0]
-                .error
-                .as_deref()
-                .unwrap_or_default()
-                .contains("would never fire"),
-            "{:?}",
-            reports[0].error
-        );
-        // The same script on erosion fires (round-driven phase exists). A
-        // line stays hole-free after removal + largest-component pruning,
+        // The same plan fires on erosion, which has a round-driven phase. A
+        // line stays hole-free after removal and largest-component pruning,
         // so the erosion family's hole-free assumption still holds.
         let erosion = ScenarioSpec::new("ok", GeneratorSpec::Line { n: 20 })
             .algorithm(AlgorithmSpec::Erosion)
-            .perturb(PerturbationSpec::RemoveRandom {
-                round: 0,
-                count: 5,
-                seed: 0,
-            });
+            .faults(
+                FaultPlan::new(0)
+                    .reset(ResetPolicy::Reinitialize)
+                    .process(FaultProcess::once(FaultKind::Removals, 0, 5)),
+            );
         let reports = run_suite(&[&erosion], 1);
         let report = reports[0].report.as_ref().expect("erosion run succeeds");
         assert!(report.final_positions.len() < report.n);

@@ -1,14 +1,12 @@
 //! The declarative scenario: everything one election run needs, as data.
 
 use crate::generators::GeneratorSpec;
-use crate::perturb::PerturbationSpec;
-use crate::script::ScenarioScript;
 use pm_baselines::{
     ErosionLeaderElection, QuadraticBoundary, RandomizedBoundary, SelfStabMaxElection,
 };
 use pm_core::api::{Execution, LeaderElection, PaperPipeline, RunOptions};
 use pm_core::SchedulerSpec;
-use pm_faults::FaultSpec;
+use pm_faults::{FaultPlan, FaultScript};
 use pm_grid::Shape;
 use serde::{Deserialize, Serialize};
 
@@ -57,14 +55,13 @@ impl AlgorithmSpec {
         self.instance().name()
     }
 
-    /// Whether the algorithm executes a round-driven phase that perturbation
-    /// scripts can target (an `Execution` with rounds to step and a live
-    /// system to mutate). The boundary baselines are simulated in closed
-    /// form — a script attached to them would never fire, so the suite
-    /// runner rejects such scenarios instead of silently reporting a
-    /// fault-free run as perturbed. The same gate applies to fault plans,
-    /// which fire through the identical round-driven surface.
-    pub fn supports_perturbations(&self) -> bool {
+    /// Whether the algorithm executes a round-driven phase that fault plans
+    /// can target (an `Execution` with rounds to step and a live system to
+    /// mutate). The boundary baselines are simulated in closed form — a
+    /// plan attached to them would never fire, so scenarios pairing the two
+    /// are rejected instead of silently reporting a fault-free run as
+    /// faulted.
+    pub fn supports_faults(&self) -> bool {
         matches!(
             self,
             AlgorithmSpec::Pipeline | AlgorithmSpec::Erosion | AlgorithmSpec::SelfStabMax
@@ -76,15 +73,16 @@ impl AlgorithmSpec {
 pub struct StartedScenario {
     /// The owned execution, positioned before its first phase.
     pub execution: Execution<'static>,
-    /// The scenario's adversarial script, to fire before every step.
-    pub script: ScenarioScript,
+    /// The scenario's fault plan bound to this run, to fire before every
+    /// step (see [`apply_faults`]).
+    pub script: FaultScript,
     /// The initial particle count.
     pub n: usize,
 }
 
 /// One named, fully declarative election scenario: a generated shape, the
 /// algorithm and scheduler to run it with, the run options, and an optional
-/// perturbation script. Serializable, so whole workload suites live as JSON
+/// fault plan. Serializable, so whole workload suites live as JSON
 /// corpora (`corpus/scenarios.json`) instead of code.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
@@ -101,18 +99,16 @@ pub struct ScenarioSpec {
     /// Run options (variant knobs: boundary knowledge, reconnection,
     /// occupancy backend, budgets).
     pub options: RunOptions,
-    /// Adversarial events fired mid-run (empty = fault-free).
-    pub perturbations: Vec<PerturbationSpec>,
-    /// The generalised fault schedule (periodic removals, regrow,
-    /// corruption, relocation — see `pm_faults::FaultPlan`); an empty plan
-    /// schedules nothing.
-    pub faults: FaultSpec,
+    /// The fault schedule (removals, column cuts, regrow, corruption,
+    /// relocation; reset-and-recover or not — see [`FaultPlan`]); an empty
+    /// plan schedules nothing.
+    pub faults: FaultPlan,
 }
 
 impl ScenarioSpec {
     /// A scenario with the default algorithm (paper pipeline), the default
     /// measurement scheduler (`SeededRandom(7)`), default options, no tags
-    /// and no perturbations.
+    /// and no faults.
     pub fn new(name: impl Into<String>, generator: GeneratorSpec) -> ScenarioSpec {
         ScenarioSpec {
             name: name.into(),
@@ -121,8 +117,7 @@ impl ScenarioSpec {
             algorithm: AlgorithmSpec::Pipeline,
             scheduler: SchedulerSpec::SeededRandom(7),
             options: RunOptions::default(),
-            perturbations: Vec::new(),
-            faults: FaultSpec::default(),
+            faults: FaultPlan::default(),
         }
     }
 
@@ -150,22 +145,15 @@ impl ScenarioSpec {
         self
     }
 
-    /// Appends a perturbation event.
-    pub fn perturb(mut self, perturbation: PerturbationSpec) -> ScenarioSpec {
-        self.perturbations.push(perturbation);
-        self
-    }
-
     /// Replaces the fault plan.
-    pub fn faults(mut self, faults: FaultSpec) -> ScenarioSpec {
+    pub fn faults(mut self, faults: FaultPlan) -> ScenarioSpec {
         self.faults = faults;
         self
     }
 
-    /// Whether the scenario schedules any adversarial events at all
-    /// (perturbations or fault processes).
+    /// Whether the scenario schedules any fault processes at all.
     pub fn is_adversarial(&self) -> bool {
-        !self.perturbations.is_empty() || !self.faults.is_empty()
+        !self.faults.is_empty()
     }
 
     /// Builds the scenario's initial shape.
@@ -175,28 +163,28 @@ impl ScenarioSpec {
 
     /// Starts the scenario: builds its shape, starts an owned execution of
     /// its algorithm under a fresh scheduler, and pairs it with the
-    /// scenario's [`ScenarioScript`]. The one start path behind the suite
+    /// scenario's [`FaultScript`]. The one start path behind the suite
     /// runner, the server's `submit`/`restore` and the CLI's `trace` and
     /// `profile`.
     ///
     /// # Errors
     ///
-    /// A perturbation script or fault plan on an algorithm with no
-    /// round-driven phase would never fire, so the scenario is rejected
-    /// rather than run fault-free as if it were adversarial. Otherwise the
-    /// message of the algorithm's start error (an empty or disconnected
-    /// shape).
+    /// A fault plan that would never fire is rejected rather than run
+    /// fault-free as if it were adversarial: one on an algorithm with no
+    /// round-driven phase, or one with a periodic process whose window
+    /// closes before it opens. Otherwise the message of the algorithm's
+    /// start error (an empty or disconnected shape).
     pub fn start(&self) -> Result<StartedScenario, String> {
-        if self.is_adversarial() && !self.algorithm.supports_perturbations() {
-            let what = if self.perturbations.is_empty() {
-                "fault plan"
-            } else {
-                "perturbation script"
-            };
+        if self.is_adversarial() && !self.algorithm.supports_faults() {
             return Err(format!(
-                "{what} attached to `{}`, which runs no round-driven \
+                "fault plan attached to `{}`, which runs no round-driven \
                  phase — the script would never fire",
                 self.algorithm.name()
+            ));
+        }
+        if let Some(process) = self.faults.processes.iter().find(|p| p.never_fires()) {
+            return Err(format!(
+                "fault process {process} ends before it starts — it would never fire"
             ));
         }
         let shape = self.build_shape();
@@ -207,7 +195,7 @@ impl ScenarioSpec {
             .map_err(|e| e.to_string())?;
         Ok(StartedScenario {
             execution,
-            script: ScenarioScript::for_spec(self),
+            script: FaultScript::new(self.faults.clone()),
             n: shape.len(),
         })
     }
@@ -218,9 +206,19 @@ impl ScenarioSpec {
     }
 }
 
+/// The [`SessionScheduler`](pm_core::session::SessionScheduler) step hook
+/// for scenario sessions: fires the session's due faults before each step.
+/// Live sweeps and checkpoint replay share it, so restored and sharded runs
+/// reproduce faulted runs exactly.
+pub fn apply_faults(script: &mut FaultScript, execution: &mut Execution<'static>) {
+    script.apply_due(execution);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_core::session::{Goal, SessionScheduler};
+    use pm_faults::{FaultKind, FaultProcess, ResetPolicy};
 
     #[test]
     fn starts_pair_the_scenario_execution_with_its_script() {
@@ -229,7 +227,7 @@ mod tests {
         let started = plain.start().expect("valid scenario");
         let shape = plain.build_shape();
         assert_eq!(started.n, shape.len());
-        assert_eq!(started.script.entries(), 0);
+        assert!(started.script.plan().is_empty());
         let direct =
             plain
                 .algorithm
@@ -237,19 +235,72 @@ mod tests {
                 .elect(&shape, &mut *plain.scheduler.build(), &plain.options);
         assert_eq!(started.execution.finish(), direct);
 
-        let perturbed = ScenarioSpec::new("perturbed", GeneratorSpec::Hexagon { radius: 3 })
-            .perturb(PerturbationSpec::RemoveRandom {
-                round: 1,
-                count: 2,
-                seed: 0,
-            });
-        assert_eq!(
-            perturbed.start().expect("valid scenario").script.entries(),
-            1
+        let faulted = ScenarioSpec::new("faulted", GeneratorSpec::Hexagon { radius: 3 }).faults(
+            FaultPlan::new(0)
+                .reset(ResetPolicy::Reinitialize)
+                .process(FaultProcess::once(FaultKind::Removals, 1, 2)),
         );
-        let rejected = perturbed.algorithm(AlgorithmSpec::RandomizedBoundary);
+        let started = faulted.start().expect("valid scenario");
+        assert_eq!(started.script.plan(), &faulted.faults);
+        let rejected = faulted.algorithm(AlgorithmSpec::RandomizedBoundary);
         let error = rejected.start().err().expect("script could never fire");
-        assert!(error.starts_with("perturbation script attached"), "{error}");
+        assert!(error.starts_with("fault plan attached"), "{error}");
+    }
+
+    #[test]
+    fn processes_that_can_never_fire_are_rejected() {
+        // A periodic window that closes before it opens fires nowhere.
+        let empty_window = FaultProcess::periodic(FaultKind::Removals, 6, 2, 4, 1);
+        assert!((0..20).all(|round| !empty_window.fires_at(round)));
+        let spec = ScenarioSpec::new("never", GeneratorSpec::Hexagon { radius: 3 })
+            .faults(FaultPlan::new(1).process(empty_window));
+        let error = spec.start().err().expect("the process never fires");
+        assert!(error.contains("would never fire"), "{error}");
+        // One-shot processes ignore `until`, so they stay valid.
+        let once = FaultProcess {
+            until: 0,
+            ..FaultProcess::once(FaultKind::Removals, 6, 1)
+        };
+        let spec = spec.faults(FaultPlan::new(1).process(once));
+        assert!(spec.start().is_ok());
+    }
+
+    #[test]
+    fn scenario_sessions_fire_their_faults_deterministically() {
+        let spec = ScenarioSpec::new("faulted", GeneratorSpec::Hexagon { radius: 3 })
+            .algorithm(AlgorithmSpec::SelfStabMax)
+            .faults(
+                FaultPlan::new(7)
+                    .process(FaultProcess::once(FaultKind::Corruption, 1, 6))
+                    .process(FaultProcess::once(FaultKind::Removals, 2, 2)),
+            );
+        let run = |inject: bool| {
+            let mut started = spec.start().unwrap();
+            if inject {
+                // A live injection lands in the bound plan like a declared
+                // process.
+                started
+                    .script
+                    .push(FaultProcess::once(FaultKind::Regrow, 2, 2));
+                assert_eq!(started.script.plan().processes.len(), 3);
+            }
+            let mut scheduler = SessionScheduler::new(u64::MAX);
+            let id = scheduler.admit(started.execution, started.script);
+            scheduler.set_goal(id, Goal::Complete);
+            scheduler.drive(id, &apply_faults);
+            let report = scheduler.outcome(id).unwrap().clone().unwrap();
+            let script = scheduler.payload(id).unwrap();
+            (script.fired(), script.corrupted(), script.added(), report)
+        };
+        let (fired, corrupted, added, report) = run(false);
+        assert_eq!(fired, 2, "one corruption and one removal firing");
+        assert!(corrupted > 0);
+        assert_eq!(added, 0);
+        assert!(report.unique_leader());
+        assert_eq!(run(false), (fired, corrupted, added, report));
+        let (fired, _, added, _) = run(true);
+        assert_eq!(fired, 3);
+        assert!(added > 0);
     }
 
     #[test]
@@ -269,38 +320,30 @@ mod tests {
 
     #[test]
     fn self_stab_supports_adversarial_scripts() {
-        // The self-stabilising election runs a round-driven phase, so both
-        // perturbation scripts and fault plans can target it; the
-        // closed-form boundary baselines still cannot.
-        assert!(AlgorithmSpec::SelfStabMax.supports_perturbations());
-        assert!(!AlgorithmSpec::RandomizedBoundary.supports_perturbations());
-        assert!(!AlgorithmSpec::QuadraticBoundary.supports_perturbations());
+        // The self-stabilising election runs a round-driven phase, so fault
+        // plans can target it; the closed-form boundary baselines cannot.
+        assert!(AlgorithmSpec::SelfStabMax.supports_faults());
+        assert!(!AlgorithmSpec::RandomizedBoundary.supports_faults());
+        assert!(!AlgorithmSpec::QuadraticBoundary.supports_faults());
     }
 
     #[test]
     fn builder_composes() {
-        use pm_faults::{FaultKind, FaultProcess};
         let spec = ScenarioSpec::new("s", GeneratorSpec::Hexagon { radius: 3 })
             .tag("smoke")
             .algorithm(AlgorithmSpec::Erosion)
             .scheduler(SchedulerSpec::RoundRobin)
-            .perturb(PerturbationSpec::RemoveRandom {
-                round: 2,
-                count: 3,
-                seed: 1,
-            });
+            .faults(
+                FaultPlan::new(1)
+                    .reset(ResetPolicy::Reinitialize)
+                    .process(FaultProcess::once(FaultKind::Removals, 2, 3)),
+            );
         assert!(spec.has_tag("smoke"));
         assert!(!spec.has_tag("full"));
         assert_eq!(spec.algorithm, AlgorithmSpec::Erosion);
-        assert_eq!(spec.perturbations.len(), 1);
-        assert!(spec.faults.is_empty());
+        assert_eq!(spec.faults.processes.len(), 1);
         assert!(spec.is_adversarial());
         assert_eq!(spec.build_shape().len(), 37);
-
-        let faulted = ScenarioSpec::new("f", GeneratorSpec::Hexagon { radius: 3 })
-            .faults(FaultSpec::new(7).process(FaultProcess::once(FaultKind::Corruption, 3, 8)));
-        assert!(faulted.perturbations.is_empty());
-        assert!(faulted.is_adversarial());
         assert!(!ScenarioSpec::new("q", GeneratorSpec::Line { n: 4 }).is_adversarial());
     }
 }

@@ -2,6 +2,7 @@
 //! byte-identical report JSON — twice in a row, across scheduler thread
 //! counts, and against the committed golden file.
 
+use pm_faults::ResetPolicy;
 use pm_scenarios::corpus::SMOKE;
 use pm_scenarios::{load_embedded, report_json, run_suite, select};
 
@@ -43,14 +44,16 @@ fn smoke_suite_reports_are_all_ok_and_include_perturbed_runs() {
         assert!(run.rounds_consistent(), "{}", report.scenario);
         assert!(run.leaders >= 1, "{}", report.scenario);
     }
-    let perturbed: Vec<_> = reports.iter().filter(|r| r.perturbations > 0).collect();
+    // Perturbed runs: reset-and-recover fault plans.
+    let perturbed: Vec<_> = smoke
+        .iter()
+        .zip(&reports)
+        .filter(|(spec, r)| r.faults > 0 && spec.faults.reset == ResetPolicy::Reinitialize)
+        .map(|(_, r)| r.report.as_ref().unwrap())
+        .collect();
     assert!(!perturbed.is_empty());
     // The split scenario records the multi-leader outcome; the removal
     // scenarios keep the unique-leader predicate.
-    assert!(perturbed
-        .iter()
-        .any(|r| r.report.as_ref().unwrap().leaders > 1));
-    assert!(perturbed
-        .iter()
-        .any(|r| r.report.as_ref().unwrap().unique_leader()));
+    assert!(perturbed.iter().any(|r| r.leaders > 1));
+    assert!(perturbed.iter().any(|r| r.unique_leader()));
 }

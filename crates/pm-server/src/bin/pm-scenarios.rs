@@ -18,7 +18,7 @@
 //! `run` prints a human-readable summary to stderr and the `RunReport` JSON
 //! array to stdout (or `--out FILE`). `trace` steps one scenario through
 //! the resumable `Execution` handle, printing a status line per round (and
-//! per perturbation event); with `--json` it emits one `ExecutionStatus`
+//! per fault firing); with `--json` it emits one `ExecutionStatus`
 //! JSON line per completed round — the exact shape the server's `watch`
 //! verb streams — followed by the final `RunReport` JSON line. `serve`
 //! speaks the line-delimited JSON protocol of `PROTOCOL.md` over
@@ -195,18 +195,17 @@ fn load_corpus(args: &Args) -> Result<Vec<ScenarioSpec>, String> {
 
 fn cmd_list(specs: &[ScenarioSpec]) {
     println!(
-        "{:<32} {:<28} {:>6} {:<20} {:<18} {:>8} {:>7}",
-        "name", "generator", "n", "algorithm", "scheduler", "perturb", "faults"
+        "{:<32} {:<28} {:>6} {:<20} {:<18} {:>7}",
+        "name", "generator", "n", "algorithm", "scheduler", "faults"
     );
     for spec in specs {
         println!(
-            "{:<32} {:<28} {:>6} {:<20} {:<18} {:>8} {:>7}",
+            "{:<32} {:<28} {:>6} {:<20} {:<18} {:>7}",
             spec.name,
             spec.generator.to_string(),
             spec.build_shape().len(),
             spec.algorithm.name(),
             spec.scheduler.name(),
-            spec.perturbations.len(),
             spec.faults.processes.len(),
         );
     }
@@ -226,9 +225,6 @@ fn cmd_render(specs: &[ScenarioSpec], name: &str) -> Result<(), String> {
         spec.algorithm.name(),
         spec.scheduler.name(),
     );
-    for p in &spec.perturbations {
-        println!("perturbation: {p}");
-    }
     for process in &spec.faults.processes {
         println!("fault: {process}");
     }
@@ -246,8 +242,8 @@ fn cmd_run(specs: &[ScenarioSpec], args: &Args, suite: &str) -> Result<(), Strin
     }
     let reports = run_suite(&selected, args.threads.max(1));
     eprintln!(
-        "{:<32} {:>6} {:>8} {:>12} {:>9} {:>8} {:<8}",
-        "scenario", "n", "rounds", "activations", "leaders", "perturb", "outcome"
+        "{:<32} {:>6} {:>8} {:>12} {:>9} {:>7} {:<8}",
+        "scenario", "n", "rounds", "activations", "leaders", "faults", "outcome"
     );
     let mut failures = 0usize;
     for r in &reports {
@@ -269,8 +265,8 @@ fn cmd_run(specs: &[ScenarioSpec], args: &Args, suite: &str) -> Result<(), Strin
             }
         };
         eprintln!(
-            "{:<32} {:>6} {:>8} {:>12} {:>9} {:>8} {:<8}",
-            r.scenario, r.n, rounds, activations, leaders, r.perturbations, outcome
+            "{:<32} {:>6} {:>8} {:>12} {:>9} {:>7} {:<8}",
+            r.scenario, r.n, rounds, activations, leaders, r.faults, outcome
         );
     }
     eprintln!(
@@ -306,14 +302,12 @@ fn cmd_trace(specs: &[ScenarioSpec], name: &str, json: bool, profile: bool) -> R
         .ok_or_else(|| format!("no scenario named `{name}` (try `pm-scenarios list`)"))?;
     let started = spec.start().map_err(|e| format!("start: {e}"))?;
     let header = format!(
-        "tracing {} — {} (n = {}, algorithm = {}, scheduler = {}, {} perturbation event(s), \
-         {} fault process(es))",
+        "tracing {} — {} (n = {}, algorithm = {}, scheduler = {}, {} fault process(es))",
         spec.name,
         spec.generator,
         started.n,
         spec.algorithm.name(),
         spec.scheduler.name(),
-        spec.perturbations.len(),
         spec.faults.processes.len(),
     );
     if json {
@@ -326,13 +320,13 @@ fn cmd_trace(specs: &[ScenarioSpec], name: &str, json: bool, profile: bool) -> R
         execution.enable_profiling();
     }
     let report = loop {
-        // The caller owns the loop: fire due events and fault processes
-        // against the live system, then pump one step.
+        // The caller owns the loop: fire due fault processes against the
+        // live system, then pump one step.
         let fired_now = script.apply_due(&mut execution);
         if fired_now > 0 && !json {
             let status = execution.status();
             println!(
-                "  !! {fired_now} adversarial event(s) fired before round {}; {} particle(s) remain",
+                "  !! {fired_now} fault process(es) fired before round {}; {} particle(s) remain",
                 status.next_round.unwrap_or(status.rounds_in_phase),
                 status.decided + status.undecided
             );
@@ -382,22 +376,14 @@ fn cmd_trace(specs: &[ScenarioSpec], name: &str, json: bool, profile: bool) -> R
         }
         return Ok(());
     }
-    if script.perturbations().fired() > 0 {
-        println!(
-            "perturbations: {} event(s) fired, {} particle(s) removed",
-            script.perturbations().fired(),
-            script.perturbations().removed()
-        );
-    }
-    if script.faults().fired() > 0 {
-        let faults = script.faults();
+    if script.fired() > 0 {
         println!(
             "faults: {} firing(s) — {} removed, {} added, {} corrupted, {} relocated",
-            faults.fired(),
-            faults.removed(),
-            faults.added(),
-            faults.corrupted(),
-            faults.relocated()
+            script.fired(),
+            script.removed(),
+            script.added(),
+            script.corrupted(),
+            script.relocated()
         );
     }
     println!(
@@ -416,30 +402,37 @@ fn cmd_trace(specs: &[ScenarioSpec], name: &str, json: bool, profile: bool) -> R
         report.peak_memory_bits
     );
     if profile {
-        println!(
-            "profile: {:<12} {:>8} {:>8} {:>12} {:>8} {:>12}",
-            "phase", "steps", "rounds", "activations", "moves", "wall µs"
-        );
-        for phase in &report.profile {
-            println!(
-                "profile: {:<12} {:>8} {:>8} {:>12} {:>8} {:>12}",
-                phase.name,
-                phase.steps,
-                phase.rounds,
-                phase.activations,
-                phase.moves,
-                phase.wall_nanos / 1_000
-            );
-        }
+        print_profile("profile: ", &report);
     }
     Ok(())
+}
+
+/// Prints a profiled report's per-phase table, each line led by `prefix`:
+/// steps and wall time from the profile, rounds, activations and moves from
+/// the matching phase report.
+fn print_profile(prefix: &str, report: &pm_core::api::RunReport) {
+    println!(
+        "{prefix}{:<12} {:>8} {:>8} {:>12} {:>8} {:>12}",
+        "phase", "steps", "rounds", "activations", "moves", "wall µs"
+    );
+    for (profile, phase) in report.profiled_phases() {
+        println!(
+            "{prefix}{:<12} {:>8} {:>8} {:>12} {:>8} {:>12}",
+            phase.name,
+            profile.steps,
+            phase.rounds,
+            phase.activations,
+            phase.moves,
+            profile.wall_nanos / 1_000
+        );
+    }
 }
 
 /// Runs one scenario under the span recorder and the phase profiler,
 /// writes the drained trace as a Chrome trace-event file (plus optional
 /// folded stacks), and prints per-phase and per-round summary tables. The
 /// run is single-threaded and caller-driven, so the trace shows the full
-/// session → phase → round hierarchy with adversarial firings as instant
+/// session → phase → round hierarchy with fault firings as instant
 /// events inside the phase that absorbed them.
 fn cmd_profile(specs: &[ScenarioSpec], name: &str, args: &Args) -> Result<(), String> {
     let spec = specs
@@ -475,21 +468,7 @@ fn cmd_profile(specs: &[ScenarioSpec], name: &str, args: &Args) -> Result<(), St
         );
     }
 
-    println!(
-        "{:<12} {:>8} {:>8} {:>12} {:>8} {:>12}",
-        "phase", "steps", "rounds", "activations", "moves", "wall µs"
-    );
-    for phase in &report.profile {
-        println!(
-            "{:<12} {:>8} {:>8} {:>12} {:>8} {:>12}",
-            phase.name,
-            phase.steps,
-            phase.rounds,
-            phase.activations,
-            phase.moves,
-            phase.wall_nanos / 1_000
-        );
-    }
+    print_profile("", &report);
 
     // Per-round critical path, from the trace's `round` spans (span_at
     // pushes Begin and End with one id, so pair them by id).
@@ -535,7 +514,7 @@ fn cmd_profile(specs: &[ScenarioSpec], name: &str, args: &Args) -> Result<(), St
 
 /// The instrumented drive loop behind [`cmd_profile`]: session and phase
 /// guard spans from the caller's side, round spans and phase-boundary
-/// instants from `Execution::step_round` itself, adversarial firings from
+/// instants from `Execution::step_round` itself, fault firings from
 /// the script.
 fn profile_run(spec: &ScenarioSpec) -> Result<pm_core::api::RunReport, String> {
     let started = spec.start().map_err(|e| format!("start: {e}"))?;

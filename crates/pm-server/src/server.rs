@@ -14,9 +14,8 @@ use crate::protocol::{Request, Response, ServerStats, SessionCheckpoint, Session
 use crate::telemetry::{as_micros, ServerTelemetry};
 use pm_core::session::{Goal, SessionId, SessionScheduler};
 use pm_faults::FaultProcess;
-use pm_scenarios::{
-    apply_scripts, PerturbationSpec, ScenarioScript, ScenarioSpec, StartedScenario,
-};
+use pm_faults::FaultScript;
+use pm_scenarios::{apply_faults, ScenarioSpec, StartedScenario};
 use pm_telemetry::{trace, warn};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -42,8 +41,8 @@ pub struct ServerLimits {
 /// [module docs](self) for the scheduling model and `PROTOCOL.md` for the
 /// wire protocol.
 pub struct ServerCore {
-    scheduler: SessionScheduler<ScenarioScript>,
-    /// Each session's scenario, kept current with injected perturbations —
+    scheduler: SessionScheduler<FaultScript>,
+    /// Each session's scenario, kept current with injected fault processes —
     /// this is what a checkpoint persists, so a fresh process can rebuild
     /// the session from nothing but the checkpoint.
     specs: BTreeMap<SessionId, ScenarioSpec>,
@@ -213,10 +212,6 @@ impl ServerCore {
                 self.run(session, out);
                 false
             }
-            Request::Perturb { session, event } => {
-                out.push(self.perturb(session, event));
-                false
-            }
             Request::Fault { session, process } => {
                 out.push(self.fault(session, process));
                 false
@@ -269,7 +264,6 @@ impl ServerCore {
             Request::Status { .. } => "status",
             Request::Watch { .. } => "watch",
             Request::Run { .. } => "run",
-            Request::Perturb { .. } => "perturb",
             Request::Fault { .. } => "fault",
             Request::Pause { .. } => "pause",
             Request::Resume { .. } => "resume",
@@ -290,7 +284,6 @@ impl ServerCore {
             Request::Status { session }
             | Request::Watch { session, .. }
             | Request::Run { session }
-            | Request::Perturb { session, .. }
             | Request::Fault { session, .. }
             | Request::Pause { session }
             | Request::Resume { session }
@@ -318,7 +311,7 @@ impl ServerCore {
     fn drive(&mut self, session: SessionId) {
         while self.scheduler.runnable(session) {
             let swept = Instant::now();
-            self.scheduler.sweep(&apply_scripts);
+            self.scheduler.sweep(&apply_faults);
             self.telemetry
                 .sweep_duration_us
                 .observe(as_micros(swept.elapsed()));
@@ -337,13 +330,12 @@ impl ServerCore {
             }
             let (total_rounds, recovered) = match self.scheduler.outcome(id) {
                 Some(Ok(report)) => {
-                    self.telemetry.harvest_profile(&report.profile);
+                    self.telemetry.harvest_profile(report);
                     (report.total_rounds, report.unique_leader())
                 }
                 _ => continue,
             };
-            if let Some(script) = self.scheduler.payload_mut(id) {
-                let faults = script.faults();
+            if let Some(faults) = self.scheduler.payload(id) {
                 if faults.fired() > 0 {
                     let recovery_rounds =
                         total_rounds.saturating_sub(faults.rounds_at_last_fault());
@@ -456,10 +448,11 @@ impl ServerCore {
     /// since its last save has an up-to-date file on disk.
     fn cursor(&self, session: SessionId) -> (u64, u64, usize) {
         let view = self.scheduler.view(session).expect("live session");
-        let events = self.specs.get(&session).map_or(0, |spec| {
-            spec.perturbations.len() + spec.faults.processes.len()
-        });
-        (view.steps, view.rounds, events)
+        let processes = self
+            .specs
+            .get(&session)
+            .map_or(0, |spec| spec.faults.processes.len());
+        (view.steps, view.rounds, processes)
     }
 
     fn mark_saved(&mut self, session: SessionId) {
@@ -638,44 +631,11 @@ impl ServerCore {
         out.push(self.outcome_or_status(session));
     }
 
-    fn perturb(&mut self, session: SessionId, event: PerturbationSpec) -> Response {
-        let Some(view) = self.scheduler.view(session) else {
-            return ServerCore::unknown(session);
-        };
-        let spec = self.specs.get_mut(&session).expect("specs mirror sessions");
-        if view.done || self.scheduler.status(session).is_some_and(|s| s.finished) {
-            return ServerCore::error(format!("session {session} has finished"));
-        }
-        if !spec.algorithm.supports_perturbations() {
-            return ServerCore::error(format!(
-                "`{}` runs no round-driven phase to perturb",
-                spec.algorithm.name()
-            ));
-        }
-        // Events at rounds the session already completed would fire under
-        // replay but not live, breaking checkpoint determinism — reject
-        // them so every accepted event replays exactly as it ran.
-        if event.round() < view.rounds {
-            return ServerCore::error(format!(
-                "session {session} already completed round {} (event targets round {})",
-                view.rounds,
-                event.round()
-            ));
-        }
-        spec.perturbations.push(event);
-        let script = self.scheduler.payload_mut(session).expect("session exists");
-        script.push_perturbation(event);
-        Response::Perturbed {
-            session,
-            events: script.perturbations().specs().len(),
-        }
-    }
-
-    /// Appends a fault process to a live session's plan — the generalised
-    /// `perturb`, with the identical rejection rules: finished sessions,
-    /// algorithms with no round-driven phase, and processes whose first
-    /// firing round the session already completed are rejected, so every
-    /// accepted process replays identically from a checkpoint.
+    /// Appends a fault process to a live session's plan. Finished sessions,
+    /// algorithms with no round-driven phase, processes that can never fire
+    /// and processes whose first firing round the session already completed
+    /// are rejected, so every accepted process fires and replays
+    /// identically from a checkpoint.
     fn fault(&mut self, session: SessionId, process: FaultProcess) -> Response {
         let Some(view) = self.scheduler.view(session) else {
             return ServerCore::unknown(session);
@@ -684,15 +644,19 @@ impl ServerCore {
         if view.done || self.scheduler.status(session).is_some_and(|s| s.finished) {
             return ServerCore::error(format!("session {session} has finished"));
         }
-        if !spec.algorithm.supports_perturbations() {
+        if !spec.algorithm.supports_faults() {
             return ServerCore::error(format!(
                 "`{}` runs no round-driven phase to fault",
                 spec.algorithm.name()
             ));
         }
-        // Like stale perturbations: a process starting at a round the
-        // session already completed would fire under replay but not live,
-        // breaking checkpoint determinism.
+        if process.never_fires() {
+            return ServerCore::error(format!(
+                "fault process {process} ends before it starts — it would never fire"
+            ));
+        }
+        // A process starting at a round the session already completed would
+        // fire under replay but not live, breaking checkpoint determinism.
         if process.start < view.rounds {
             return ServerCore::error(format!(
                 "session {session} already completed round {} (process starts at round {})",
@@ -701,10 +665,10 @@ impl ServerCore {
         }
         spec.faults.processes.push(process);
         let script = self.scheduler.payload_mut(session).expect("session exists");
-        script.push_fault(process);
+        script.push(process);
         Response::Faulted {
             session,
-            processes: script.faults().plan().processes.len(),
+            processes: script.plan().processes.len(),
         }
     }
 
@@ -755,7 +719,7 @@ impl ServerCore {
             started.execution,
             started.script,
             &checkpoint.execution,
-            &apply_scripts,
+            &apply_faults,
         ) {
             Ok(session) => {
                 self.specs.insert(session, checkpoint.spec);
@@ -875,53 +839,11 @@ mod tests {
     }
 
     #[test]
-    fn perturbations_past_the_cursor_are_rejected() {
-        let mut core = ServerCore::default();
-        let session = submit(&mut core, "a");
-        handle(&mut core, Request::Watch { session, rounds: 5 });
-        let stale = PerturbationSpec::RemoveRandom {
-            round: 2,
-            count: 1,
-            seed: 1,
-        };
-        match handle(
-            &mut core,
-            Request::Perturb {
-                session,
-                event: stale,
-            },
-        )
-        .remove(0)
-        {
-            Response::Error { message } => assert!(message.contains("already completed")),
-            other => panic!("expected Error, got {other:?}"),
-        }
-        let due = PerturbationSpec::RemoveRandom {
-            round: 8,
-            count: 2,
-            seed: 1,
-        };
-        match handle(
-            &mut core,
-            Request::Perturb {
-                session,
-                event: due,
-            },
-        )
-        .remove(0)
-        {
-            Response::Perturbed { events, .. } => assert_eq!(events, 1),
-            other => panic!("expected Perturbed, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn fault_processes_past_the_cursor_are_rejected() {
         use pm_faults::FaultKind;
-        // Satellite contract: fault plans obey exactly the perturbation
-        // cursor rule — a process whose first firing round the session
-        // already completed is rejected with the same wording, so every
-        // accepted process replays identically from a checkpoint.
+        // A process whose first firing round the session already completed
+        // is rejected, so every accepted process replays identically from a
+        // checkpoint.
         let mut core = ServerCore::default();
         let session = submit(&mut core, "a");
         handle(&mut core, Request::Watch { session, rounds: 5 });
@@ -957,6 +879,39 @@ mod tests {
                 assert_eq!(checkpoint.spec.faults.processes, vec![due]);
             }
             other => panic!("expected Checkpointed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fault_processes_that_can_never_fire_are_rejected() {
+        use pm_faults::{FaultKind, FaultPlan};
+        let mut core = ServerCore::default();
+        let session = submit(&mut core, "a");
+        // A periodic window that closes before it opens fires nowhere.
+        let empty_window = FaultProcess::periodic(FaultKind::Removals, 8, 2, 6, 1);
+        match handle(
+            &mut core,
+            Request::Fault {
+                session,
+                process: empty_window,
+            },
+        )
+        .remove(0)
+        {
+            Response::Error { message } => assert!(message.contains("never fire"), "{message}"),
+            other => panic!("expected Error, got {other:?}"),
+        }
+        match handle(&mut core, Request::Checkpoint { session }).remove(0) {
+            Response::Checkpointed { checkpoint, .. } => {
+                assert!(checkpoint.spec.faults.is_empty(), "nothing was injected");
+            }
+            other => panic!("expected Checkpointed, got {other:?}"),
+        }
+        // The same process declared at submit is rejected too.
+        let declared = spec("b").faults(FaultPlan::new(1).process(empty_window));
+        match handle(&mut core, Request::Submit { spec: declared }).remove(0) {
+            Response::Error { message } => assert!(message.contains("never fire"), "{message}"),
+            other => panic!("expected Error, got {other:?}"),
         }
     }
 

@@ -9,7 +9,7 @@
 //! scripts. Handles are cheap `Arc`-backed atomics, so transports clone
 //! them once per connection and record without taking the core lock.
 
-use pm_core::api::PhaseProfile;
+use pm_core::api::RunReport;
 use pm_telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,7 +48,6 @@ pub const VERBS: &[&str] = &[
     "status",
     "watch",
     "run",
-    "perturb",
     "fault",
     "pause",
     "resume",
@@ -165,14 +164,16 @@ impl ServerTelemetry {
 
     /// Folds one finished election's per-phase profile into the registry:
     /// wall time as `pm_election_phase_wall_us{phase=…}` plus monotone
-    /// round/activation/move totals per phase. Call once per session — the
-    /// core guards this with its harvested-session set.
-    pub fn harvest_profile(&self, profile: &[PhaseProfile]) {
-        for phase in profile {
+    /// round/activation/move totals per phase, read from the matching
+    /// phase report ([`RunReport::profiled_phases`]). Call once per session
+    /// — the core guards this with its harvested-session set. Unprofiled
+    /// reports record nothing.
+    pub fn harvest_profile(&self, report: &RunReport) {
+        for (profile, phase) in report.profiled_phases() {
             let labels = &[("phase", phase.name.as_str())];
             self.registry
                 .histogram_with("pm_election_phase_wall_us", labels, LATENCY_US_BOUNDS)
-                .observe(phase.wall_nanos / 1_000);
+                .observe(profile.wall_nanos / 1_000);
             self.registry
                 .counter_with("pm_election_phase_rounds_total", labels)
                 .add(phase.rounds);
@@ -215,6 +216,7 @@ pub fn as_micros(elapsed: Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_scenarios::{GeneratorSpec, ScenarioSpec};
 
     #[test]
     fn every_verb_series_exists_before_any_traffic() {
@@ -236,28 +238,31 @@ mod tests {
     #[test]
     fn harvesting_a_profile_creates_the_phase_series() {
         let telemetry = ServerTelemetry::new();
-        telemetry.harvest_profile(&[PhaseProfile {
-            name: "dle".to_string(),
-            steps: 10,
-            rounds: 7,
-            activations: 40,
-            moves: 3,
-            wall_nanos: 5_000,
-        }]);
+        let spec = ScenarioSpec::new("profiled", GeneratorSpec::Hexagon { radius: 2 });
+        let mut execution = spec.start().unwrap().execution;
+        execution.enable_profiling();
+        let report = execution.finish().unwrap();
+        telemetry.harvest_profile(&report);
         let snapshot = telemetry.snapshot();
-        let wall = snapshot
-            .histograms
-            .iter()
-            .find(|h| h.name == "pm_election_phase_wall_us")
-            .expect("phase wall series");
-        assert_eq!(wall.count, 1);
-        assert_eq!(wall.sum, 5);
-        let rounds = snapshot
-            .counters
-            .iter()
-            .find(|c| c.name == "pm_election_phase_rounds_total")
-            .expect("phase rounds series");
-        assert_eq!(rounds.value, 7);
+        for phase in &report.phases {
+            let labelled = |labels: &[pm_telemetry::LabelPair]| {
+                labels
+                    .iter()
+                    .any(|l| l.key == "phase" && l.value == phase.name)
+            };
+            let wall = snapshot
+                .histograms
+                .iter()
+                .find(|h| h.name == "pm_election_phase_wall_us" && labelled(&h.labels))
+                .expect("phase wall series");
+            assert_eq!(wall.count, 1);
+            let rounds = snapshot
+                .counters
+                .iter()
+                .find(|c| c.name == "pm_election_phase_rounds_total" && labelled(&c.labels))
+                .expect("phase rounds series");
+            assert_eq!(rounds.value, phase.rounds);
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   session slice, verb, connection); the guard ends the span on drop;
 //! * [`span_at`] — a completed span recorded after the fact from two
 //!   `Instant`s (a round that was timed anyway by the profiler);
-//! * [`instant`] — a point event (fault firing, perturbation, checkpoint
+//! * [`instant`] — a point event (fault firing, checkpoint
 //!   write, eviction, restore, warn/error log line).
 //!
 //! Span ids form a per-thread hierarchy — each event records the id of the
