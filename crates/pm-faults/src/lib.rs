@@ -4,7 +4,7 @@
 //! serializable schedule of fault *processes* — random removals, column
 //! cuts that split the system, regrow (particle additions), state
 //! corruption, and move-based relocation — each fired deterministically
-//! between rounds through the [`Execution::system`] mutation surface by a
+//! between rounds through the [`Execution::system`](pm_core::api::Execution::system) mutation surface by a
 //! [`FaultScript`]. Whether the adversary also resets the survivors after
 //! each firing is the plan's [`ResetPolicy`]: `Reinitialize` is the
 //! reset-and-recover baseline (the election restarts on the mutated
@@ -28,16 +28,16 @@
 //! earlier firings still produces bit-identical faults at later rounds.
 
 use pm_amoebot::scheduler::Scheduler;
-use pm_amoebot::system::SystemControl;
-use pm_core::api::{phase, ElectionError, Execution, LeaderElection, RunOptions, RunReport};
+use pm_core::api::{ElectionError, LeaderElection, RunOptions, RunReport};
 use pm_core::SchedulerSpec;
-use pm_grid::{Point, Shape};
-use pm_telemetry::trace;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, RngCore, SeedableRng};
+use pm_grid::Shape;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+mod perturb;
+mod script;
+
+pub use script::FaultScript;
 
 /// What one fault process does each time it fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -239,273 +239,6 @@ fn firing_seed(seed: u64, process: u64, round: u64) -> u64 {
     splitmix(seed ^ splitmix(process ^ splitmix(round)))
 }
 
-/// Removes every particle outside the largest connected component of the
-/// occupied shape (largest by size; ties broken by the lexicographically
-/// smallest point, so the choice is deterministic). Returns how many
-/// particles were removed.
-fn prune_to_largest_component(system: &mut dyn SystemControl) -> usize {
-    let shape = system.occupied_shape();
-    if shape.is_empty() || shape.is_connected() {
-        return 0;
-    }
-    let components = shape.connected_components();
-    let keep: &Shape = components
-        .iter()
-        .max_by_key(|c| (c.len(), std::cmp::Reverse(c.first_point())))
-        .expect("a non-empty shape has at least one component");
-    let mut removed = 0;
-    for p in shape.iter() {
-        if !keep.contains(p) && system.remove_at(p) {
-            removed += 1;
-        }
-    }
-    removed
-}
-
-/// The empty points adjacent to the occupied shape, sorted (deterministic
-/// regrow/relocation candidates).
-fn frontier(shape: &Shape) -> Vec<Point> {
-    let mut out: Vec<Point> = shape
-        .iter()
-        .flat_map(|p| p.neighbors())
-        .filter(|n| !shape.contains(*n))
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// A fault plan bound to one run: fires each due process before the
-/// matching round of the election's round-driven phase, through
-/// [`Execution::system`], with periodic processes and per-firing
-/// reseeding.
-#[derive(Clone, Debug)]
-pub struct FaultScript {
-    plan: FaultPlan,
-    /// Round each process last fired at (guards against double firing when
-    /// the driver polls the same upcoming round more than once).
-    last_fired: Vec<Option<u64>>,
-    fired: usize,
-    removed: usize,
-    added: usize,
-    corrupted: usize,
-    relocated: usize,
-    last_fault_round: Option<u64>,
-    rounds_at_last_fault: u64,
-}
-
-impl FaultScript {
-    /// A script firing the given plan.
-    pub fn new(plan: FaultPlan) -> FaultScript {
-        let last_fired = vec![None; plan.processes.len()];
-        FaultScript {
-            plan,
-            last_fired,
-            fired: 0,
-            removed: 0,
-            added: 0,
-            corrupted: 0,
-            relocated: 0,
-            last_fault_round: None,
-            rounds_at_last_fault: 0,
-        }
-    }
-
-    /// The script's plan (appended processes included).
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Appends a process to a live script — the server's `fault` verb
-    /// injects processes into running sessions through this.
-    pub fn push(&mut self, process: FaultProcess) {
-        self.plan.processes.push(process);
-        self.last_fired.push(None);
-    }
-
-    /// Number of firings so far.
-    pub fn fired(&self) -> usize {
-        self.fired
-    }
-
-    /// Particles removed by firings so far (pruning included).
-    pub fn removed(&self) -> usize {
-        self.removed
-    }
-
-    /// Particles added by firings so far.
-    pub fn added(&self) -> usize {
-        self.added
-    }
-
-    /// Memories scrambled by firings so far.
-    pub fn corrupted(&self) -> usize {
-        self.corrupted
-    }
-
-    /// Particles relocated by firings so far.
-    pub fn relocated(&self) -> usize {
-        self.relocated
-    }
-
-    /// The phase round of the most recent firing.
-    pub fn last_fault_round(&self) -> Option<u64> {
-        self.last_fault_round
-    }
-
-    /// The execution's *total* round count at the most recent firing (zero
-    /// if nothing fired) — the cursor recovery measurements subtract from
-    /// the final round count.
-    pub fn rounds_at_last_fault(&self) -> u64 {
-        self.rounds_at_last_fault
-    }
-
-    /// Fires every process due at the round the execution is about to run
-    /// ([`Execution::next_round`]); a no-op at phase boundaries, during
-    /// closed-form phases and after completion. Returns how many processes
-    /// fired.
-    pub fn apply_due(&mut self, execution: &mut Execution<'_>) -> usize {
-        let Some((phase_name, round)) = execution.next_round() else {
-            return 0;
-        };
-        // Faults target the election's round-driven phase; OBD and Collect
-        // are simulated in closed form and never expose a system.
-        if phase_name != phase::DLE && phase_name != phase::ELECTION {
-            return 0;
-        }
-        let due: Vec<usize> = (0..self.plan.processes.len())
-            .filter(|i| {
-                self.plan.processes[*i].fires_at(round) && self.last_fired[*i] != Some(round)
-            })
-            .collect();
-        if due.is_empty() {
-            return 0;
-        }
-        {
-            let mut system = execution
-                .system()
-                .expect("an upcoming round implies a live system");
-            for i in due.iter().copied() {
-                self.last_fired[i] = Some(round);
-                let process = self.plan.processes[i];
-                let mut rng = StdRng::seed_from_u64(firing_seed(self.plan.seed, i as u64, round));
-                self.apply_process(&process, &mut *system, &mut rng);
-                self.fired += 1;
-                self.last_fault_round = Some(round);
-                // Firings land on the trace timeline so a drained trace
-                // shows recovery rounds in causal order after their cause;
-                // out-of-band, like all telemetry.
-                if trace::enabled() {
-                    trace::instant("fault", format!("fault:{}@r{round}", process.kind));
-                }
-            }
-            if self.plan.reset == ResetPolicy::Reinitialize {
-                system.reinitialize();
-            }
-        }
-        // The full status snapshot is only taken on firing rounds, so the
-        // per-round polling cost stays one `next_round` call.
-        self.rounds_at_last_fault = execution.status().total_rounds;
-        due.len()
-    }
-
-    /// Applies one firing of one process to the system.
-    fn apply_process(
-        &mut self,
-        process: &FaultProcess,
-        system: &mut dyn SystemControl,
-        rng: &mut StdRng,
-    ) {
-        match process.kind {
-            FaultKind::Removals => {
-                let before = system.particle_count();
-                if before <= 1 {
-                    return;
-                }
-                let mut positions = system.particle_positions();
-                positions.shuffle(rng);
-                // Clamp: a fault shrinks the system, it never empties it.
-                let take = (process.count as usize).min(before - 1);
-                for p in positions.into_iter().take(take) {
-                    system.remove_at(p);
-                }
-                prune_to_largest_component(system);
-                self.removed += before - system.particle_count();
-            }
-            FaultKind::Regrow => {
-                let mut candidates = frontier(&system.occupied_shape());
-                candidates.shuffle(rng);
-                let mut added = 0;
-                for p in candidates {
-                    if added == process.count as usize {
-                        break;
-                    }
-                    if system.add_at(p) {
-                        added += 1;
-                    }
-                }
-                self.added += added;
-            }
-            FaultKind::Corruption => {
-                let mut positions = system.particle_positions();
-                positions.shuffle(rng);
-                for p in positions.into_iter().take(process.count as usize) {
-                    if system.corrupt_at(p, rng.next_u64()) {
-                        self.corrupted += 1;
-                    }
-                }
-            }
-            FaultKind::Relocate => {
-                for _ in 0..process.count {
-                    let positions = system.particle_positions();
-                    if positions.len() <= 1 {
-                        break;
-                    }
-                    let victim = positions[rng.gen_range(0..positions.len())];
-                    if !system.remove_at(victim) {
-                        continue;
-                    }
-                    if !system.is_connected() {
-                        // Removing this particle splits the shape: undo
-                        // (the re-added particle gets a fresh memory, which
-                        // is itself within the adversary's power).
-                        system.add_at(victim);
-                        continue;
-                    }
-                    let targets: Vec<Point> = frontier(&system.occupied_shape())
-                        .into_iter()
-                        .filter(|p| *p != victim)
-                        .collect();
-                    if targets.is_empty() {
-                        system.add_at(victim);
-                        continue;
-                    }
-                    let target = targets[rng.gen_range(0..targets.len())];
-                    if system.add_at(target) {
-                        self.relocated += 1;
-                    } else {
-                        system.add_at(victim);
-                    }
-                }
-            }
-            FaultKind::Cut { column } => {
-                let on_column: Vec<Point> = system
-                    .particle_positions()
-                    .into_iter()
-                    .filter(|p| p.q == column)
-                    .collect();
-                if on_column.len() < system.particle_count() {
-                    for p in on_column {
-                        if system.remove_at(p) {
-                            self.removed += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The outcome of one fault-injected run: what the faults did and how long
 /// the algorithm took to come back from the last one.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -543,7 +276,8 @@ pub struct RecoveryReport {
 }
 
 /// Drives one election under a [`FaultPlan`] from the caller's side — a
-/// loop over [`Execution::step_round`] and [`Execution::status`], firing
+/// loop over [`Execution::step_round`](pm_core::api::Execution::step_round)
+/// and [`Execution::status`](pm_core::api::Execution::status), firing
 /// due faults before each step — and measures recovery.
 #[derive(Clone, Debug)]
 pub struct RecoveryDriver {
@@ -648,7 +382,7 @@ mod tests {
     use super::*;
     use pm_baselines::SelfStabMaxElection;
     use pm_core::api::PaperPipeline;
-    use pm_grid::builder::{dumbbell, hexagon, line, parallelogram};
+    use pm_grid::builder::{hexagon, line, parallelogram};
 
     fn corruption_plan() -> FaultPlan {
         FaultPlan::new(7).process(FaultProcess::once(FaultKind::Corruption, 3, 8))
@@ -719,48 +453,6 @@ mod tests {
         assert_eq!(report.n, 2);
         assert!(recovery.recovered);
         assert_eq!(recovery.leaders, 1);
-
-        // The same clamp under reset-and-recover on the paper pipeline.
-        let plan = FaultPlan::new(2)
-            .reset(ResetPolicy::Reinitialize)
-            .process(FaultProcess::once(FaultKind::Removals, 1, 1000));
-        let (recovery, report) = RecoveryDriver::new(plan)
-            .run(
-                &PaperPipeline,
-                &line(5),
-                &mut *SchedulerSpec::SeededRandom(7).build(),
-                &RunOptions::default(),
-            )
-            .unwrap();
-        assert_eq!(recovery.faults_fired, 1);
-        assert_eq!(recovery.removed, 4);
-        assert!(report.unique_leader());
-        assert_eq!(report.final_positions.len(), 1);
-    }
-
-    #[test]
-    fn cut_yields_one_leader_per_component() {
-        // Cutting the dumbbell's corridor splits it into its two balls;
-        // without reconnection each elects a leader of its own.
-        let plan = FaultPlan::new(0)
-            .reset(ResetPolicy::Reinitialize)
-            .process(FaultProcess::once(FaultKind::Cut { column: 8 }, 3, 0));
-        let (recovery, report) = RecoveryDriver::new(plan)
-            .run(
-                &PaperPipeline,
-                &dumbbell(3, 10),
-                &mut *SchedulerSpec::SeededRandom(7).build(),
-                &RunOptions {
-                    reconnect: false,
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(recovery.faults_fired, 1);
-        assert!(recovery.removed > 0);
-        assert_eq!(report.leaders, 2);
-        assert_eq!(report.undecided, 0);
-        assert!(!report.final_connected);
     }
 
     #[test]

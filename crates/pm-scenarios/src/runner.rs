@@ -123,7 +123,7 @@ mod tests {
     fn fault_plans_on_closed_form_baselines_are_rejected() {
         use crate::generators::GeneratorSpec;
         use crate::spec::{AlgorithmSpec, ScenarioSpec};
-        use pm_faults::{FaultKind, FaultPlan, ResetPolicy};
+        use pm_faults::{FaultKind, FaultPlan};
         let spec = ScenarioSpec::new("bad-faults", GeneratorSpec::Hexagon { radius: 3 })
             .algorithm(AlgorithmSpec::QuadraticBoundary)
             .faults(FaultPlan::new(3).process(FaultProcess::once(FaultKind::Removals, 1, 2)));
@@ -133,17 +133,34 @@ mod tests {
         let error = reports[0].error.as_deref().unwrap_or_default();
         assert!(error.contains("fault plan"), "{error}");
         assert!(error.contains("would never fire"), "{error}");
+    }
+
+    #[test]
+    fn perturbation_scripts_on_closed_form_baselines_are_rejected() {
+        use crate::generators::GeneratorSpec;
+        use crate::spec::{AlgorithmSpec, ScenarioSpec};
+        use pm_faults::{FaultKind, FaultPlan, ResetPolicy};
+        // A perturbation is a reset-and-recover removal plan.
+        let perturbation = |round| {
+            FaultPlan::new(0)
+                .reset(ResetPolicy::Reinitialize)
+                .process(FaultProcess::once(FaultKind::Removals, round, 5))
+        };
+        let spec = ScenarioSpec::new("bad", GeneratorSpec::Hexagon { radius: 3 })
+            .algorithm(AlgorithmSpec::RandomizedBoundary)
+            .faults(perturbation(1));
+        let reports = run_suite(&[&spec], 1);
+        assert_eq!(reports.len(), 1);
+        assert!(!reports[0].ok);
+        let error = reports[0].error.as_deref().unwrap_or_default();
+        assert!(error.contains("would never fire"), "{error}");
 
         // The same plan fires on erosion, which has a round-driven phase. A
         // line stays hole-free after removal and largest-component pruning,
         // so the erosion family's hole-free assumption still holds.
         let erosion = ScenarioSpec::new("ok", GeneratorSpec::Line { n: 20 })
             .algorithm(AlgorithmSpec::Erosion)
-            .faults(
-                FaultPlan::new(0)
-                    .reset(ResetPolicy::Reinitialize)
-                    .process(FaultProcess::once(FaultKind::Removals, 0, 5)),
-            );
+            .faults(perturbation(0));
         let reports = run_suite(&[&erosion], 1);
         let report = reports[0].report.as_ref().expect("erosion run succeeds");
         assert!(report.final_positions.len() < report.n);

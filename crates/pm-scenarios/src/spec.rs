@@ -217,7 +217,6 @@ pub fn apply_faults(script: &mut FaultScript, execution: &mut Execution<'static>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_core::session::{Goal, SessionScheduler};
     use pm_faults::{FaultKind, FaultProcess, ResetPolicy};
 
     #[test]
@@ -263,44 +262,6 @@ mod tests {
         };
         let spec = spec.faults(FaultPlan::new(1).process(once));
         assert!(spec.start().is_ok());
-    }
-
-    #[test]
-    fn scenario_sessions_fire_their_faults_deterministically() {
-        let spec = ScenarioSpec::new("faulted", GeneratorSpec::Hexagon { radius: 3 })
-            .algorithm(AlgorithmSpec::SelfStabMax)
-            .faults(
-                FaultPlan::new(7)
-                    .process(FaultProcess::once(FaultKind::Corruption, 1, 6))
-                    .process(FaultProcess::once(FaultKind::Removals, 2, 2)),
-            );
-        let run = |inject: bool| {
-            let mut started = spec.start().unwrap();
-            if inject {
-                // A live injection lands in the bound plan like a declared
-                // process.
-                started
-                    .script
-                    .push(FaultProcess::once(FaultKind::Regrow, 2, 2));
-                assert_eq!(started.script.plan().processes.len(), 3);
-            }
-            let mut scheduler = SessionScheduler::new(u64::MAX);
-            let id = scheduler.admit(started.execution, started.script);
-            scheduler.set_goal(id, Goal::Complete);
-            scheduler.drive(id, &apply_faults);
-            let report = scheduler.outcome(id).unwrap().clone().unwrap();
-            let script = scheduler.payload(id).unwrap();
-            (script.fired(), script.corrupted(), script.added(), report)
-        };
-        let (fired, corrupted, added, report) = run(false);
-        assert_eq!(fired, 2, "one corruption and one removal firing");
-        assert!(corrupted > 0);
-        assert_eq!(added, 0);
-        assert!(report.unique_leader());
-        assert_eq!(run(false), (fired, corrupted, added, report));
-        let (fired, _, added, _) = run(true);
-        assert_eq!(fired, 3);
-        assert!(added > 0);
     }
 
     #[test]

@@ -839,6 +839,53 @@ mod tests {
     }
 
     #[test]
+    fn perturbations_past_the_cursor_are_rejected() {
+        use pm_faults::{FaultKind, FaultPlan, ResetPolicy};
+        // A perturbation is a removal injected into a reset-and-recover
+        // session: the survivors restart the election after it fires.
+        let mut core = ServerCore::default();
+        let reset = spec("a").faults(FaultPlan::new(1).reset(ResetPolicy::Reinitialize));
+        let session = match handle(&mut core, Request::Submit { spec: reset }).remove(0) {
+            Response::Submitted { session, .. } => session,
+            other => panic!("expected Submitted, got {other:?}"),
+        };
+        handle(&mut core, Request::Watch { session, rounds: 5 });
+        let stale = FaultProcess::once(FaultKind::Removals, 2, 1);
+        match handle(
+            &mut core,
+            Request::Fault {
+                session,
+                process: stale,
+            },
+        )
+        .remove(0)
+        {
+            Response::Error { message } => assert!(message.contains("already completed")),
+            other => panic!("expected Error, got {other:?}"),
+        }
+        let due = FaultProcess::once(FaultKind::Removals, 8, 2);
+        match handle(
+            &mut core,
+            Request::Fault {
+                session,
+                process: due,
+            },
+        )
+        .remove(0)
+        {
+            Response::Faulted { processes, .. } => assert_eq!(processes, 1),
+            other => panic!("expected Faulted, got {other:?}"),
+        }
+        match handle(&mut core, Request::Run { session }).pop().unwrap() {
+            Response::Done { report, .. } => {
+                assert!(report.unique_leader());
+                assert!(report.final_positions.len() < report.n);
+            }
+            other => panic!("expected Done, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn fault_processes_past_the_cursor_are_rejected() {
         use pm_faults::FaultKind;
         // A process whose first firing round the session already completed
